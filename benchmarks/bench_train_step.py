@@ -1,20 +1,21 @@
 """Train-step throughput — the regression gate for the engine's fast paths.
 
 Times full optimisation steps (gather → forward → loss → backward → clip →
-update) per model on metr-la-sim, once under the engine's fast backward
-configuration and once under the reference configuration, and benchmarks
-vectorized batch assembly against the per-sample reference loop.  Both fast
+update) per model on metr-la-sim, once with the engine's fast backward
+closures and once under ``reference_backward(fused_matmul=True)``, and
+benchmarks vectorized batch assembly against the per-sample reference loop.  Both fast
 paths must be *bit-identical* to their slow counterparts — that is asserted
 here on top of the dedicated equivalence suite
 (``tests/test_fast_path_equivalence.py``).
 
 Results land in ``benchmarks/results/train_step.json`` and the tracked
-repo-root ``BENCH_train_step.json`` (summarised in EXPERIMENTS.md); the CLI
-equivalent for one-off runs is ``repro profile --train-step``.  The
-``seed_baseline`` block records a one-time A/B measurement against the
-pre-fast-path tree, which the self-contained toggle comparison understates
-(several engine optimisations — gradient donation, forward rewrites — are
-not behind toggles); see docs/performance.md.
+repo-root ``BENCH_train_step.json`` (summarised in EXPERIMENTS.md); for
+one-off runs of a single model, ``repro profile --train-step`` writes
+``profile_train_step.json`` instead.  The ``seed_baseline`` block records
+a one-time A/B measurement against the pre-fast-path tree, which the
+self-contained fast-vs-reference comparison understates (several engine
+optimisations — gradient donation, forward rewrites — are unconditional);
+see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.common import build_model, get_data, profile, save_results
-from repro.obs import compare_fast_reference, FAST_CONFIG, REFERENCE_CONFIG
+from repro.obs import compare_fast_reference
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, configure_fast_backward, fast_backward_config
+from repro.tensor import Tensor, reference_backward
 from repro.tensor import functional as F
 from repro.utils.seed import set_seed
 from repro.utils.timer import now
@@ -43,7 +44,7 @@ GATHER_BATCH_SIZE = 64
 # the seed this PR started from), measured on the same machine with the same
 # harness: 4 interleaved runs per leg, pooled minima, bench profile,
 # D2STGNN × metr-la-sim, batch 32.  Kept as data because the seed tree is
-# not part of this checkout; the toggle comparison below is re-measurable.
+# not part of this checkout; the fast-vs-reference comparison below is re-measurable.
 SEED_BASELINE = {
     "commit": "90e48ea",
     "seed_step_ms_min": 138.23,
@@ -60,33 +61,29 @@ SEED_BASELINE = {
 }
 
 
-def _grads_after_steps(name: str, data, config: dict, steps: int = 2) -> list[bytes]:
-    """Deterministically train ``steps`` steps under ``config``; return grads.
+def _grads_after_steps(name: str, data, steps: int = 2) -> list[bytes]:
+    """Deterministically train ``steps`` steps; return grads.
 
     Rebuilds the model from a fixed seed so two calls differ only in the
-    engine configuration — the grads (and therefore every update along the
-    way) must match bit-for-bit between the fast and reference paths.
+    engine configuration active around them — the grads (and therefore
+    every update along the way) must match bit-for-bit between the fast and
+    reference paths.
     """
-    previous = fast_backward_config()
-    configure_fast_backward(**config)
-    try:
-        set_seed(0)
-        model, _ = build_model(name, data)
-        optimizer = Adam(model.parameters(), lr=1e-3)
-        scaler = data.scaler
-        loader = data.loader("train", batch_size=profile().batch_size, shuffle=False)
-        iterator = iter(loader)
-        for _ in range(steps):
-            batch = next(iterator)
-            optimizer.zero_grad()
-            prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-            loss = F.masked_mae_loss(prediction, Tensor(batch.y))
-            loss.backward()
-            clip_grad_norm(model.parameters(), 5.0)
-            optimizer.step()
-        return [p.grad.tobytes() for p in model.parameters()]
-    finally:
-        configure_fast_backward(**previous)
+    set_seed(0)
+    model, _ = build_model(name, data)
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    scaler = data.scaler
+    loader = data.loader("train", batch_size=profile().batch_size, shuffle=False)
+    iterator = iter(loader)
+    for _ in range(steps):
+        batch = next(iterator)
+        optimizer.zero_grad()
+        prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
+        loss = F.masked_mae_loss(prediction, Tensor(batch.y))
+        loss.backward()
+        clip_grad_norm(model.parameters(), 5.0)
+        optimizer.step()
+    return [p.grad.tobytes() for p in model.parameters()]
 
 
 def _bench_gather(data) -> dict:
@@ -134,10 +131,10 @@ def test_train_step_throughput(benchmark):
             timing = compare_fast_reference(
                 model, data, batch_size=profile().batch_size, steps=TIMED_STEPS
             )
-            timing["grads_bit_identical"] = (
-                _grads_after_steps(name, data, FAST_CONFIG)
-                == _grads_after_steps(name, data, REFERENCE_CONFIG)
-            )
+            fast_grads = _grads_after_steps(name, data)
+            with reference_backward(fused_matmul=True):
+                reference_grads = _grads_after_steps(name, data)
+            timing["grads_bit_identical"] = fast_grads == reference_grads
             results["models"][name] = timing
         return results
 

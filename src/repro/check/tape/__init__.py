@@ -1,8 +1,8 @@
 """Static tape-IR analysis: the recorded train step as an inspectable program.
 
-The D²STGNN train step is structurally static — the backward-tape cache
-(PR 4) already replays a fixed order every step — so one recorded
-forward+backward *is* the program.  This package records it symbolically
+The D²STGNN train step is structurally static — every step runs the same
+ops on the same shapes — so one recorded forward+backward *is* the
+program.  This package records it symbolically
 and analyzes it without running it:
 
 * :mod:`~repro.check.tape.ir` — :func:`record_program` lowers one step

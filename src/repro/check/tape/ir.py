@@ -469,9 +469,9 @@ def record_program(step, *, names: dict[int, str] | None = None) -> TapeProgram:
     returns the scalar loss tensor; ``record_program`` calls
     ``loss.backward()`` itself.  Recording happens under
     ``reference_backward()`` so the program reflects the engine's clean
-    dataflow semantics (no replay cache, no buffer donation, no fused
-    fast paths) — the same semantics an arena-planned executor would
-    implement.
+    dataflow semantics (no buffer donation, no in-place closure math, no
+    fused matmul gradients) — the same semantics an arena-planned executor
+    would implement.
 
     ``names`` optionally maps ``id(tensor)`` to a display name (use
     ``{id(p): n for n, p in model.named_parameters()}``) so leaf values

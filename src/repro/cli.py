@@ -154,10 +154,12 @@ def cmd_profile(args) -> int:
     top-k op and module-scope tables, and writes the machine-readable
     baseline (schema ``repro.obs.profile/v1``) to ``--out``.
 
-    With ``--train-step`` it instead times full optimisation steps under the
-    engine's fast and reference backward configurations
+    With ``--train-step`` it instead times full optimisation steps with the
+    engine's fast and reference backward closures
     (:func:`repro.obs.compare_fast_reference`) and writes
-    ``BENCH_train_step.json`` (schema ``repro.obs.train_step/v1``).
+    ``profile_train_step.json`` (schema ``repro.obs.train_step/v1``).  It
+    never writes ``BENCH_train_step.json``, the tracked baseline that
+    ``benchmarks/bench_train_step.py`` owns under a different schema.
     """
     from .obs import Profiler, annotate_model_scopes, compare_fast_reference
     from .optim import Adam, clip_grad_norm
@@ -197,7 +199,7 @@ def cmd_profile(args) -> int:
             "num_parameters": model.num_parameters(),
             **timing,
         }
-        out = Path(args.out if args.out else "BENCH_train_step.json")
+        out = Path(args.out if args.out else "profile_train_step.json")
         with open(out, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"-> {out}")
@@ -719,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of op-level profiling")
     p.add_argument("--out", default=None,
                    help="where to write the machine-readable result "
-                        "(default BENCH_profile.json, or BENCH_train_step.json "
+                        "(default BENCH_profile.json, or profile_train_step.json "
                         "with --train-step)")
     p.set_defaults(fn=cmd_profile)
 

@@ -25,8 +25,8 @@ Event types
   severity decays radially over :func:`~repro.graph.hop_neighborhood`
   rings around a center node.
 * :class:`SensorBias` — drift/miscalibration: an additive bias ramp on a
-  sensor set (random sign per sensor from the event's seed), generalizing
-  the ``sensor-drift`` simulator preset to a timed, composable event.
+  sensor set (random sign per sensor from the event's seed); the
+  ``sensor-drift`` scenario is built from these alone.
 * :class:`RegimeShift` — a permanent daily-profile change from one step
   onward: the stream follows a DST-style time-shifted (and optionally
   re-levelled) version of itself.
@@ -705,6 +705,10 @@ EVENT_SCENARIOS: dict[str, str] = {
         "and an incident"
     ),
     "sensor-rot": "sensor bias drift plus a permanent regime shift",
+    "sensor-drift": (
+        "pure miscalibration: about 30% of the sensors gain a bias ramp, each "
+        "from its own onset past a quarter of the run; no outages or closures"
+    ),
 }
 
 
@@ -788,5 +792,17 @@ def event_scenario(
                 start=num_steps // 2, shift_steps=max(3, num_steps // 10),
                 level=1.1, seed=int(rng.integers(2**31)),
             ),
+        )
+    elif name == "sensor-drift":
+        # Drift, not darkness: readings stay online and plausible, which
+        # defeats the zero-coded outage handling.  One event per sensor so
+        # every sensor drifts from its own onset.
+        drifting = rng.choice(num_nodes, max(1, round(0.3 * num_nodes)), replace=False)
+        events = tuple(
+            SensorBias(
+                start=int(rng.integers(num_steps // 4, num_steps)), nodes=(int(node),),
+                rate=0.03, seed=int(rng.integers(2**31)),
+            )
+            for node in sorted(drifting)
         )
     return Scenario(name=name, events=events, seed=seed)

@@ -44,16 +44,6 @@ SCENARIOS: dict[str, SimulationConfig] = {
         _BASE, noise_scale=0.04, day_variation=0.08, event_rate=0.0003,
         dynamic_coupling_amplitude=0.3,
     ),
-    # Miscalibrated sensing: a third of the sensors slowly gain an additive
-    # bias ramp (random sign, random onset past a quarter of the run) while
-    # staying online — drift, not darkness.  Outages are turned off so the
-    # stress is pure bias: readings remain plausible, which defeats the
-    # zero-coded outage handling and stresses a serving stack's accuracy
-    # degradation instead (ROADMAP item 4).
-    "sensor-drift": replace(
-        _BASE, drift_rate=0.03, drift_fraction=0.3, drift_onset=0.25,
-        failure_rate=0.0,
-    ),
 }
 
 

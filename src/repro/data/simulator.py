@@ -62,13 +62,6 @@ class SimulationConfig:
     speed_limit: float = 70.0
     free_flow_speed: float = 65.0
     flow_scale: float = 220.0
-    # Sensor drift: a slow additive bias ramp on a random subset of sensors
-    # (miscalibration, not darkness — ROADMAP item 4's "drift/bias, not just
-    # zeros").  Disabled by default; when off, no extra rng draws happen, so
-    # existing seeded datasets stay bit-identical.
-    drift_rate: float = 0.0  # bias added per step once a sensor starts drifting
-    drift_fraction: float = 0.0  # fraction of sensors that drift
-    drift_onset: float = 0.25  # earliest onset, as a fraction of the run
 
 
 @dataclass
@@ -88,7 +81,6 @@ class TrafficSeries:
     failure_mask: np.ndarray  # (T, N) True where an outage zeroed the sensor
     kind: str = "speed"
     config: SimulationConfig = field(default_factory=SimulationConfig)
-    drift_bias: np.ndarray | None = None  # (T, N) additive drift actually applied
 
 
 def time_indices(
@@ -239,27 +231,6 @@ def simulate_traffic(
             None,
         )
 
-    # --- sensor drift -------------------------------------------------------
-    # Miscalibration, not darkness: a random subset of sensors slowly gains
-    # an additive bias (random sign per sensor, linear ramp from a random
-    # onset).  The readings stay plausible — which is exactly what makes
-    # drift harder to catch than zero-coded outages.  The applied bias is
-    # kept on the returned series so tests and the drift scenario can read
-    # the ground truth back.
-    drift_bias = None
-    if config.drift_rate > 0 and config.drift_fraction > 0:
-        num_drifting = max(1, int(round(config.drift_fraction * num_nodes)))
-        drifting = rng.choice(num_nodes, size=num_drifting, replace=False)
-        earliest = int(config.drift_onset * num_steps)
-        onsets = rng.integers(earliest, max(earliest + 1, num_steps), size=num_drifting)
-        signs = np.where(rng.random(num_drifting) < 0.5, -1.0, 1.0)
-        drift_bias = np.zeros((num_steps, num_nodes))
-        steps = np.arange(num_steps)[:, None]
-        ramp = np.clip(steps - onsets[None, :], 0, None) * config.drift_rate
-        drift_bias[:, drifting] = signs[None, :] * ramp
-        upper = config.speed_limit if kind == "speed" else None
-        values = np.clip(values + drift_bias, 0.0, upper)
-
     # --- sensor outages -----------------------------------------------------
     failure_mask = np.zeros((num_steps, num_nodes), dtype=bool)
     if config.failure_rate > 0:
@@ -279,5 +250,4 @@ def simulate_traffic(
         failure_mask=failure_mask,
         kind=kind,
         config=config,
-        drift_bias=None if drift_bias is None else drift_bias.astype(np.float32),
     )

@@ -24,12 +24,7 @@ on the command line, ``benchmarks/bench_profile_ops.py`` for the tracked
 from .memory import MemoryWatermark
 from .profiler import OpStat, Profiler, ScopeStat, annotate_model_scopes
 from .sinks import FileSink, MemorySink, MetricsSink, StdoutSink, read_jsonl
-from .stepbench import (
-    FAST_CONFIG,
-    REFERENCE_CONFIG,
-    compare_fast_reference,
-    time_train_steps,
-)
+from .stepbench import compare_fast_reference, time_train_steps
 from .telemetry import (
     TELEMETRY_SCHEMA,
     epoch_record,
@@ -42,14 +37,12 @@ from .telemetry import (
 )
 
 __all__ = [
-    "FAST_CONFIG",
     "FileSink",
     "MemorySink",
     "MemoryWatermark",
     "MetricsSink",
     "OpStat",
     "Profiler",
-    "REFERENCE_CONFIG",
     "ScopeStat",
     "StdoutSink",
     "TELEMETRY_SCHEMA",

@@ -3,14 +3,14 @@
 The harness behind ``benchmarks/bench_train_step.py`` and
 ``repro profile --train-step``.  It times *full* optimisation steps —
 batch gather, forward, loss, backward, gradient clipping, optimizer
-update — because that is the quantity the ROADMAP's "as fast as the
-hardware allows" north star is judged on; the backward slice is timed
-separately since the cached-tape fast paths concentrate there.
+update — because a training-speed claim is judged end to end; the
+backward slice is timed separately since the engine's fast paths
+concentrate there.
 
-``compare_fast_reference`` times the same model under the engine's fast
-backward paths and under the reference configuration, giving every run a
-self-contained before/after (see docs/performance.md for how the two
-relate to the pre-fast-path baseline).
+``compare_fast_reference`` times the same model with the engine's fast
+backward closures and under ``reference_backward(fused_matmul=True)``,
+giving every run a self-contained before/after (see docs/performance.md
+for how the two relate to the pre-fast-path baseline).
 """
 
 from __future__ import annotations
@@ -18,19 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..optim import Adam, clip_grad_norm
-from ..tensor import Tensor, configure_fast_backward, fast_backward_config
+from ..tensor import Tensor, reference_backward
 from ..tensor import functional as F
 from ..utils.timer import now
 
-__all__ = ["FAST_CONFIG", "REFERENCE_CONFIG", "compare_fast_reference", "time_train_steps"]
-
-# The engine's fast backward paths, and the reference ("slow") configuration
-# they are measured against.  ``fused_matmul`` stays on in both legs: it is
-# an allclose-only rewrite, so flipping it would change numerics rather than
-# merely the code path, breaking the bit-identity oracle the equivalence
-# tests rely on.
-FAST_CONFIG = {"tape": True, "scatter": True, "fused_matmul": True, "inplace": True}
-REFERENCE_CONFIG = {"tape": False, "scatter": False, "fused_matmul": True, "inplace": False}
+__all__ = ["compare_fast_reference", "time_train_steps"]
 
 
 def time_train_steps(
@@ -95,20 +87,17 @@ def time_train_steps(
 
 
 def compare_fast_reference(model, data, **kwargs) -> dict:
-    """Time the model under the reference and fast backward configurations.
+    """Time the model under the reference and fast backward closures.
 
-    Returns ``{"reference": ..., "fast": ...}`` (each a
-    :func:`time_train_steps` dict) plus end-to-end and backward speedups.
-    The engine configuration active on entry is restored afterwards.
+    The reference leg runs under ``reference_backward(fused_matmul=True)``:
+    the fused matmul gradient is allclose-only, so it stays on in both legs
+    and the two differ in code path, not numerics.  Returns
+    ``{"reference": ..., "fast": ...}`` (each a :func:`time_train_steps`
+    dict) plus end-to-end and backward speedups.
     """
-    previous = fast_backward_config()
-    try:
-        configure_fast_backward(**REFERENCE_CONFIG)
+    with reference_backward(fused_matmul=True):
         reference = time_train_steps(model, data, **kwargs)
-        configure_fast_backward(**FAST_CONFIG)
-        fast = time_train_steps(model, data, **kwargs)
-    finally:
-        configure_fast_backward(**previous)
+    fast = time_train_steps(model, data, **kwargs)
     return {
         "reference": reference,
         "fast": fast,

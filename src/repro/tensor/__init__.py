@@ -3,9 +3,6 @@
 from .tensor import (
     DEFAULT_DTYPE,
     Tensor,
-    backward_tape_stats,
-    configure_fast_backward,
-    fast_backward_config,
     inference_mode,
     is_grad_enabled,
     is_inference_mode,
@@ -21,9 +18,6 @@ __all__ = [
     "GraphTracer",
     "Tensor",
     "TraceListener",
-    "backward_tape_stats",
-    "configure_fast_backward",
-    "fast_backward_config",
     "functional",
     "gradcheck",
     "inference_mode",

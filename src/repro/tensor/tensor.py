@@ -20,14 +20,12 @@ Design notes
 * Only the primitives the models in this repository require are implemented;
   composite functions (softmax, attention, ...) live in
   :mod:`repro.tensor.functional`.
-* Training graphs are structurally identical batch to batch, so ``backward``
-  keeps a *backward tape*: nodes are recorded in creation order under a
-  rolling structural signature, the reverse-topological processing order of
-  the first backward is cached, and later steps replay that exact order while
-  recycling the previous step's gradient buffers.  Replay is bit-identical to
-  the DFS path (same nodes, same order, same float operations); any structural
-  change invalidates the signature and falls back to the DFS.  See
-  ``docs/performance.md``.
+* :meth:`Tensor.backward` walks the graph by iterative DFS on every call and
+  frees each op node's closure and gradient as soon as it has run, so only
+  leaf gradients outlive the step.  The closure-level fast paths (in-place
+  closure math, duplicate-free scatter, fused matmul gradients) are always
+  on; :func:`reference_backward` switches them off for the equivalence tests
+  and the tape audit.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -44,10 +42,7 @@ __all__ = [
     "is_grad_enabled",
     "is_inference_mode",
     "DEFAULT_DTYPE",
-    "configure_fast_backward",
-    "fast_backward_config",
     "reference_backward",
-    "backward_tape_stats",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -73,156 +68,40 @@ def _set_backward_op_hook(hook: Callable[["Tensor"], None] | None) -> None:
     _BACKWARD_OP_HOOK = hook
 
 
-class _BackwardTape:
-    """Per-process record of tracked graph nodes in creation order.
-
-    Creation order is a valid topological order (parents exist before their
-    children), which makes positions stable step to step: as long as the
-    rolling structural signature matches, position ``i`` names "the same"
-    node of the recurring training graph.  Two caches hang off that identity,
-    keyed by ``(root position, signature at root)``:
-
-    * ``orders`` — the exact reverse-topological *processing* order of the
-      first (DFS) backward, as tape positions.  Replaying it preserves the
-      float accumulation order bit for bit; creation order alone would not
-      (a node's children may be processed in a different relative order).
-    * ``pools`` — the gradient buffer each op node filled last step, so the
-      first accumulation into a node is an in-place copy instead of a fresh
-      allocation.
-
-    The tape holds strong references, so every backward on a recorded root
-    ends by evicting it (``evict``); ``limit`` bounds growth when graphs are
-    built but never backpropagated (e.g. the numerical side of gradcheck).
-    """
-
-    __slots__ = ("enabled", "nodes", "sigs", "sig", "orders", "pools",
-                 "hits", "misses", "limit")
-
-    _MAX_ORDERS = 16
-    _MAX_POOLS = 4
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.nodes: list[Tensor] = []
-        self.sigs: list[int] = []
-        self.sig = 0
-        self.orders: dict[tuple[int, int], list[int]] = {}
-        self.pools: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.limit = 250_000
-
-    def evict(self) -> None:
-        """Invalidate every recorded node and reset the signature chain."""
-        for node in self.nodes:
-            node._tape_pos = -1
-        self.nodes.clear()
-        self.sigs.clear()
-        self.sig = 0
-
-    def clear(self) -> None:
-        """Evict and drop the cached orders and buffer pools."""
-        self.evict()
-        self.orders.clear()
-        self.pools.clear()
-
-    @staticmethod
-    def trim(cache: dict, cap: int) -> None:
-        while len(cache) > cap:
-            del cache[next(iter(cache))]
-
-
-_TAPE = _BackwardTape()
-
-# While a replay backward runs, the pool of last step's gradient buffers
-# (position -> ndarray); _accumulate recycles them in place of fresh copies.
-_REPLAY_POOL: dict[int, np.ndarray] | None = None
-
-# Closure-level fast paths (see docs/performance.md):
-# * fast scatter — getitem backward uses `full[index] += grad` for indices
-#   that provably contain no duplicates (slices, ints, boolean masks);
-#   bit-identical to np.add.at, an order of magnitude faster.
+# Closure-level fast paths (see docs/performance.md), on except inside
+# reference_backward():
+# * fast closures — elementwise closures overwrite the incoming gradient
+#   buffer (its consumer is done with it) instead of allocating the outgoing
+#   one, pass-through ops (add/sub) donate the buffer itself to one parent,
+#   and getitem backward uses `full[index] += grad` for indices that provably
+#   contain no duplicates (slices, ints, boolean masks) instead of
+#   np.add.at.  Same float operations in the same order, so bit-identical.
 # * fused matmul grads — when the right operand of a batched matmul is a
 #   2-D weight, compute both gradients as a single flattened GEMM instead of
 #   a batched matmul followed by a broadcast-sum.  Same math, different float
 #   summation order, so it is allclose- rather than bit-equivalent.
-# * in-place grad reuse — elementwise closures overwrite the incoming
-#   gradient buffer (its consumer is done with it) instead of allocating the
-#   outgoing one, and pass-through ops (add/sub) donate the buffer itself to
-#   one parent.  Same float operations in the same order, so bit-identical.
-_FAST_SCATTER = True
+_FAST_CLOSURES = True
 _FUSED_MATMUL_GRAD = True
-_INPLACE_GRAD = True
-
-
-def configure_fast_backward(
-    *,
-    tape: bool | None = None,
-    scatter: bool | None = None,
-    fused_matmul: bool | None = None,
-    inplace: bool | None = None,
-) -> dict[str, bool]:
-    """Toggle the backward fast paths; returns the *previous* configuration.
-
-    ``tape`` gates cached-order replay and gradient-buffer recycling (both
-    bit-identical to the DFS path), ``scatter`` the duplicate-free getitem
-    scatter (bit-identical), ``fused_matmul`` the flattened weight-gradient
-    GEMM (allclose-equivalent), ``inplace`` the closure-level reuse of dying
-    gradient buffers (bit-identical).  ``None`` leaves a switch unchanged.
-    Used by the equivalence tests and the before/after legs of
-    ``benchmarks/bench_train_step.py``.
-    """
-    global _FAST_SCATTER, _FUSED_MATMUL_GRAD, _INPLACE_GRAD
-    previous = fast_backward_config()
-    if tape is not None:
-        _TAPE.enabled = bool(tape)
-        if not tape:
-            _TAPE.clear()
-    if scatter is not None:
-        _FAST_SCATTER = bool(scatter)
-    if fused_matmul is not None:
-        _FUSED_MATMUL_GRAD = bool(fused_matmul)
-    if inplace is not None:
-        _INPLACE_GRAD = bool(inplace)
-    return previous
-
-
-def fast_backward_config() -> dict[str, bool]:
-    """Current fast-path switches, in ``configure_fast_backward`` keywords."""
-    return {
-        "tape": _TAPE.enabled,
-        "scatter": _FAST_SCATTER,
-        "fused_matmul": _FUSED_MATMUL_GRAD,
-        "inplace": _INPLACE_GRAD,
-    }
 
 
 @contextlib.contextmanager
-def reference_backward():
-    """Context manager: run with every backward fast path disabled.
+def reference_backward(*, fused_matmul: bool = False):
+    """Context manager: run backward on the reference closures.
 
-    This is the pre-optimisation engine, byte for byte — the baseline the
-    equivalence suite compares against and the "before" leg of the train-step
-    benchmark.
+    Switches off the in-place closure math and the duplicate-free scatter,
+    both bit-identical to the reference.  ``fused_matmul=True`` keeps the
+    fused weight-gradient GEMM, which is only allclose-equivalent: that is
+    the bit-identity oracle the equivalence tests and the train-step bench
+    compare training against.  The default, everything off, is the clean
+    dataflow the tape audit records.
     """
-    previous = configure_fast_backward(
-        tape=False, scatter=False, fused_matmul=False, inplace=False
-    )
+    global _FAST_CLOSURES, _FUSED_MATMUL_GRAD
+    previous = (_FAST_CLOSURES, _FUSED_MATMUL_GRAD)
+    _FAST_CLOSURES, _FUSED_MATMUL_GRAD = False, bool(fused_matmul)
     try:
         yield
     finally:
-        configure_fast_backward(**previous)
-
-
-def backward_tape_stats() -> dict[str, int]:
-    """Counters for observability: replay hits/misses and live cache sizes."""
-    return {
-        "hits": _TAPE.hits,
-        "misses": _TAPE.misses,
-        "recorded_nodes": len(_TAPE.nodes),
-        "cached_orders": len(_TAPE.orders),
-        "pooled_buffers": sum(len(p) for p in _TAPE.pools.values()),
-    }
+        _FAST_CLOSURES, _FUSED_MATMUL_GRAD = previous
 
 
 @contextlib.contextmanager
@@ -249,22 +128,19 @@ _INFERENCE_MODE = False
 def inference_mode():
     """Context manager for serving-path forwards (like ``torch.inference_mode``).
 
-    Strictly stronger than :func:`no_grad`: graph recording is disabled *and*
-    the backward tape is paused, so an inference forward can never record
-    closures, grow the tape, or perturb the rolling structural signature that
-    training-step replay keys on — even if a caller forgot ``requires_grad``
-    hygiene.  The previously recorded tape (a training step awaiting
-    backward, for example) survives untouched and resumes on exit.
+    Like :func:`no_grad`, an inference forward records no closures even if
+    a caller forgot ``requires_grad`` hygiene, so a training graph awaiting
+    backward is left untouched; it additionally flags the region through
+    :func:`is_inference_mode` for code that must know it is serving.
     """
     global _GRAD_ENABLED, _INFERENCE_MODE
-    previous = (_GRAD_ENABLED, _INFERENCE_MODE, _TAPE.enabled)
+    previous = (_GRAD_ENABLED, _INFERENCE_MODE)
     _GRAD_ENABLED = False
     _INFERENCE_MODE = True
-    _TAPE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED, _INFERENCE_MODE, _TAPE.enabled = previous
+        _GRAD_ENABLED, _INFERENCE_MODE = previous
 
 
 def is_inference_mode() -> bool:
@@ -331,12 +207,9 @@ class Tensor:
     # (repro.check.sanitizers).  Both are left *unset* on construction — they
     # cost nothing until a sanitizer is active — and are read with getattr
     # defaults (version 0, no saved snapshot).
-    # ``_tape_pos`` is the node's position in the live backward tape, or -1
-    # when unrecorded; it is only ever >= 0 while the node sits in
-    # ``_TAPE.nodes`` at exactly that index (eviction resets it).
     __slots__ = (
         "data", "grad", "requires_grad", "_parents", "_backward", "_op",
-        "_version", "_saved_versions", "_tape_pos",
+        "_version", "_saved_versions",
     )
 
     def __init__(
@@ -355,7 +228,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._op = _op
-        self._tape_pos = -1
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -460,44 +332,10 @@ class Tensor:
         out._parents = tuple(tracked)
         out._backward = backward
         out._op = op
-        out._tape_pos = -1
-        tape = _TAPE
-        if tape.enabled:
-            # Record only when every tracked parent with a live closure is
-            # itself recorded — otherwise a cached order could silently skip
-            # an ancestor.  Parents whose closure already ran contribute
-            # nothing to backward and are safe to ignore.
-            sig = tape.sig
-            recordable = True
-            for p in tracked:
-                if p._backward is not None:
-                    pp = p._tape_pos
-                    if pp < 0:
-                        recordable = False
-                        break
-                    sig = sig * 1000003 + pp
-            if recordable:
-                if len(tape.nodes) >= tape.limit:
-                    tape.evict()  # out's parents just lost their positions
-                else:
-                    sig = (sig * 31 + hash(op) * 7919 + hash(data.shape)) \
-                        & 0xFFFFFFFFFFFFFFFF
-                    out._tape_pos = len(tape.nodes)
-                    tape.nodes.append(out)
-                    tape.sigs.append(sig)
-                    tape.sig = sig
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            pool = _REPLAY_POOL
-            if pool is not None:
-                buf = pool.pop(self._tape_pos, None)
-                if buf is not None and buf.shape == grad.shape \
-                        and buf.dtype == self.data.dtype:
-                    np.copyto(buf, grad)
-                    self.grad = buf
-                    return
             self.grad = grad.astype(self.data.dtype, copy=True)
         elif self.grad.flags.carray:
             self.grad += grad
@@ -517,10 +355,12 @@ class Tensor:
 
         * Leaf gradients (``_op == ""``) outlive the step — the optimizer
           reads and scales them in place, and grad-accumulation users keep
-          them across backwards — so a *view* is copied for leaves: its base
-          buffer belongs to an op node and is recycled by the replay pool.
-          Op-node gradients die inside ``_run_backward``, where the base is
-          provably dead by the time anything writes through the view.
+          them across backwards — so a leaf must own its buffer and a
+          *view* is copied: adopting it would pin an op node's whole base
+          buffer past the step and let in-place scaling write into memory
+          the leaf does not own.  Op-node gradients die inside
+          :meth:`backward`, where the base is provably dead by the time
+          anything writes through the view.
         * ``np.broadcast_to`` views are read-only; later accumulations fall
           back to out-of-place addition.
 
@@ -544,11 +384,10 @@ class Tensor:
         overwrite of it), which dies with the calling closure.
 
         Op nodes adopt the buffer outright — their gradients are consumed and
-        released inside ``_run_backward`` before the buffer could be seen
-        twice, and the replay-pool harvest deduplicates by buffer identity so
-        an adopted buffer never occupies two pool slots.  Leaves copy: their
-        gradients outlive the step while the donated buffer is recycled by
-        the pool.  A closure may donate a given buffer to at most one parent.
+        released inside :meth:`backward` before the buffer could be seen
+        twice.  Leaves copy: their gradients outlive the step and are scaled
+        in place, so they must own their buffer.  A closure may donate a
+        given buffer to at most one parent.
         """
         if self.grad is None:
             if self._op and grad.dtype == self.data.dtype:
@@ -585,12 +424,8 @@ class Tensor:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to ones (valid only for scalar outputs, mirroring
-        the PyTorch convention).
-
-        When this tensor is recorded on the backward tape and the structural
-        signature matches a previous backward, the cached processing order is
-        replayed (bit-identical, no graph walk); otherwise the DFS runs and
-        its order is cached for next time.
+        the PyTorch convention).  Each op node's closure and gradient are
+        released as soon as the closure has run; leaf gradients are kept.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -600,92 +435,21 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
 
-        tape = _TAPE
-        pos = self._tape_pos
-        if not (tape.enabled and pos >= 0):
-            self._run_backward(grad, self._reverse_topo(), None, None)
-            return
-        key = (pos, tape.sigs[pos])
-        try:
-            cached = tape.orders.get(key)
-            if cached is not None:
-                tape.hits += 1
-                nodes = tape.nodes
-                self._run_backward(
-                    grad, [nodes[i] for i in cached], tape.pools.pop(key, None), key
-                )
-            else:
-                tape.misses += 1
-                self._run_backward(grad, self._reverse_topo(), None, key)
-        finally:
-            # The tape holds strong references to every node of this step's
-            # graph; the step is over (even if a closure or sanitizer hook
-            # raised), so release them and start a fresh recording era.
-            tape.evict()
-
-    def _run_backward(
-        self,
-        grad: np.ndarray,
-        nodes: list["Tensor"],
-        pool: dict[int, np.ndarray] | None,
-        key: tuple[int, int] | None,
-    ) -> None:
-        """Shared backward loop for the DFS and replay paths.
-
-        ``nodes`` is the reverse-topological processing order.  With ``key``
-        set, the positions actually processed are cached as the replay order
-        and the op-node gradient buffers are recycled into the tape's pool.
-        """
-        global _REPLAY_POOL
-        order: list[int] = []
-        harvest: dict[int, np.ndarray] = {}
-        harvested: set[int] = set()
-        cacheable = key is not None
-        _REPLAY_POOL = pool
-        try:
-            self._accumulate(grad)
-            hook = _BACKWARD_OP_HOOK
-            for node in nodes:
-                if node._backward is not None and node.grad is not None:
-                    if hook is None:
-                        node._backward(node.grad)
-                    else:
-                        hook(node)
-                    # Free intermediate gradients and the graph eagerly; keep
-                    # leaf gradients (parameters / explicit leaves).
-                    node._backward = None
-                    node._parents = ()
-                    if node._op:
-                        buf = node.grad
-                        node.grad = None
-                        if cacheable:
-                            p = node._tape_pos
-                            if p >= 0:
-                                order.append(p)
-                                # Full reductions yield numpy scalars, not
-                                # 0-d arrays, and donated views alias another
-                                # node's buffer; only owned arrays can be
-                                # recycled.  A donated buffer surfaces as the
-                                # grad of every node in its donation chain —
-                                # the identity set keeps it in one pool slot
-                                # (ids stay unique: harvest pins each buffer).
-                                if type(buf) is np.ndarray and buf.base is None \
-                                        and id(buf) not in harvested:
-                                    harvested.add(id(buf))
-                                    harvest[p] = buf
-                            else:
-                                cacheable = False
-        finally:
-            _REPLAY_POOL = None
-        if cacheable:
-            tape = _TAPE
-            tape.orders[key] = order
-            if pool:
-                pool.update(harvest)  # keep leftovers for branches skipped this step
-                harvest = pool
-            tape.pools[key] = harvest
-            tape.trim(tape.orders, tape._MAX_ORDERS)
-            tape.trim(tape.pools, tape._MAX_POOLS)
+        nodes = self._reverse_topo()
+        self._accumulate(grad)
+        hook = _BACKWARD_OP_HOOK
+        for node in nodes:
+            if node._backward is not None and node.grad is not None:
+                if hook is None:
+                    node._backward(node.grad)
+                else:
+                    hook(node)
+                # Free intermediate gradients and the graph eagerly; keep
+                # leaf gradients (parameters / explicit leaves).
+                node._backward = None
+                node._parents = ()
+                if node._op:
+                    node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -706,7 +470,7 @@ class Tensor:
             if self.requires_grad:
                 if grad.shape != self.data.shape:
                     self._accumulate_fresh(_unbroadcast(grad, self.data.shape))
-                elif _INPLACE_GRAD and not (
+                elif _FAST_CLOSURES and not (
                     other.requires_grad
                     and other is not self
                     and grad.shape == other.data.shape
@@ -717,7 +481,7 @@ class Tensor:
             if other.requires_grad:
                 if grad.shape != other.data.shape:
                     other._accumulate_fresh(_unbroadcast(grad, other.data.shape))
-                elif _INPLACE_GRAD:
+                elif _FAST_CLOSURES:
                     other._accumulate_donate(grad)
                 else:
                     other._accumulate(grad)
@@ -734,14 +498,14 @@ class Tensor:
             if self.requires_grad:
                 if grad.shape != self.data.shape:
                     self._accumulate_fresh(_unbroadcast(grad, self.data.shape))
-                elif _INPLACE_GRAD and not other.requires_grad:
+                elif _FAST_CLOSURES and not other.requires_grad:
                     self._accumulate_donate(grad)
                 else:
                     self._accumulate(grad)
             if other.requires_grad:
                 # self copied above (or never touched the buffer), so the
                 # negation may overwrite it in place.
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.negative(grad, out=grad)
                     if grad.shape == other.data.shape:
                         other._accumulate_donate(grad)
@@ -767,7 +531,7 @@ class Tensor:
                 self._accumulate_fresh(g)
             if other.requires_grad:
                 # Last read of the incoming buffer: form the product in place.
-                if _INPLACE_GRAD and grad.flags.carray \
+                if _FAST_CLOSURES and grad.flags.carray \
                         and grad.shape == other.data.shape:
                     np.multiply(grad, self.data, out=grad)
                     other._accumulate_donate(grad)
@@ -787,7 +551,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray \
+                if _FAST_CLOSURES and grad.flags.carray \
                         and not other.requires_grad \
                         and grad.shape == self.data.shape:
                     np.divide(grad, other.data, out=grad)
@@ -795,7 +559,7 @@ class Tensor:
                 else:
                     self._accumulate_fresh(_unbroadcast(grad / other.data, self.shape))
             if other.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray \
+                if _FAST_CLOSURES and grad.flags.carray \
                         and grad.shape == other.data.shape:
                     # Same ops in the same order as the fresh expression:
                     # ((-grad) * self.data) / other.data**2.
@@ -818,7 +582,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.negative(grad, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -833,7 +597,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, exponent, out=grad)
                     np.multiply(grad, self.data ** (exponent - 1), out=grad)
                     self._accumulate_donate(grad)
@@ -852,7 +616,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, out_data, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -865,7 +629,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.divide(grad, self.data, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -878,7 +642,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, 0.5, out=grad)
                     np.divide(grad, out_data, out=grad)
                     self._accumulate_donate(grad)
@@ -892,7 +656,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     t = out_data**2
                     np.subtract(1.0, t, out=t)
                     np.multiply(grad, t, out=grad)
@@ -918,7 +682,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     # (grad * out) * (1 - out), matching the fresh expression.
                     t = 1.0 - out_data
                     np.multiply(grad, out_data, out=grad)
@@ -935,7 +699,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, mask, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -949,7 +713,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, sign, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -964,7 +728,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, scale, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -1132,7 +896,7 @@ class Tensor:
         # `full[index] += grad` and np.add.at agree exactly when the index
         # cannot select the same element twice; integer-array indices (e.g.
         # embedding lookups) can, and keep the unbuffered scatter.
-        simple = _FAST_SCATTER and _duplicate_free_index(index)
+        simple = _FAST_CLOSURES and _duplicate_free_index(index)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -1189,7 +953,7 @@ class Tensor:
                 a._accumulate_fresh(_unbroadcast(grad * cond, a.shape))
             if b.requires_grad:
                 # a's product above read the buffer; b's may overwrite it.
-                if _INPLACE_GRAD and grad.flags.carray \
+                if _FAST_CLOSURES and grad.flags.carray \
                         and grad.shape == b.data.shape:
                     np.multiply(grad, ~cond, out=grad)
                     b._accumulate_donate(grad)
@@ -1222,7 +986,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray:
+                if _FAST_CLOSURES and grad.flags.carray:
                     np.multiply(grad, inside, out=grad)
                     self._accumulate_donate(grad)
                 else:
@@ -1244,7 +1008,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray \
+                if _FAST_CLOSURES and grad.flags.carray \
                         and sig.dtype == grad.dtype:
                     np.multiply(grad, sig, out=grad)
                     self._accumulate_donate(grad)
@@ -1266,7 +1030,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if _INPLACE_GRAD and grad.flags.carray \
+                if _FAST_CLOSURES and grad.flags.carray \
                         and local.dtype == grad.dtype:
                     np.multiply(grad, local, out=grad)
                     self._accumulate_donate(grad)

@@ -81,6 +81,24 @@ class TestProfile:
         for row in payload["ops"]:
             assert {"op", "phase", "count", "time", "bytes"} <= set(row)
 
+    def test_train_step_leaves_bench_baseline_alone(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        # BENCH_train_step.json belongs to benchmarks/bench_train_step.py
+        # (schema repro.bench.train_step/v1); the CLI has its own default.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "profile", "--dataset", "metr-la-sim", "--model", "FC-LSTM",
+            "--nodes", "6", "--steps", "420", "--hidden", "8", "--layers", "1",
+            "--batches", "1", "--warmup", "0", "--train-step",
+        ])
+        assert code == 0
+        assert "speedup" in capsys.readouterr().out
+        assert not (tmp_path / "BENCH_train_step.json").exists()
+        payload = json.loads((tmp_path / "profile_train_step.json").read_text())
+        assert payload["schema"] == "repro.obs.train_step/v1"
+        assert payload["model"] == "FC-LSTM"
+
     def test_statistical_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["profile", "--model", "HA"])

@@ -71,25 +71,52 @@ class TestCharacteristics:
 
 
 class TestSensorDrift:
-    def test_preset_registered(self):
-        assert "sensor-drift" in SCENARIOS
-        config = scenario_config("sensor-drift")
-        assert config.drift_rate > 0 and config.drift_fraction > 0
-        assert config.failure_rate == 0.0  # drift, not darkness
+    """The ``sensor-drift`` event scenario: pure SensorBias miscalibration."""
 
-    def test_drift_bias_is_a_ramp_on_a_subset(self, network):
-        series = run(network, "sensor-drift")
-        bias = series.drift_bias
-        assert bias is not None and bias.shape == series.values.shape
+    @pytest.fixture(scope="class")
+    def adjacency(self, network):
+        from repro.graph import gaussian_kernel_adjacency, shortest_path_distances
+
+        return gaussian_kernel_adjacency(shortest_path_distances(network.distances))
+
+    @staticmethod
+    def drift(network, adjacency, steps=288 * 3):
+        """(applied scenario, ground-truth additive bias) on a clean base."""
+        from dataclasses import replace
+
+        from repro.data import SimulationConfig, apply_events, event_scenario
+
+        base = simulate_traffic(
+            network, steps, kind="speed",
+            config=replace(SimulationConfig(), failure_rate=0.0),
+            rng=np.random.default_rng(11),
+        )
+        scenario = event_scenario("sensor-drift", adjacency, steps, seed=11)
+        applied = apply_events(base, scenario.events, adjacency)
+        bias = sum(event._bias_field(steps, adjacency, "speed") for event in scenario.events)
+        return applied, bias
+
+    def test_preset_registered(self, adjacency):
+        from repro.data import EVENT_SCENARIOS, SensorBias, event_scenario
+
+        assert "sensor-drift" in EVENT_SCENARIOS
+        assert "sensor-drift" not in SCENARIOS  # one drift generator, not two
+        scenario = event_scenario("sensor-drift", adjacency, 400)
+        assert scenario.events
+        # Drift, not darkness: bias events only, so no closures or outages.
+        assert all(isinstance(event, SensorBias) for event in scenario.events)
+
+    def test_drift_bias_is_a_ramp_on_a_subset(self, network, adjacency):
+        applied, bias = self.drift(network, adjacency)
+        assert bias.shape == applied.series.values.shape
         drifting = np.nonzero(np.abs(bias[-1]) > 0)[0]
         clean = np.setdiff1d(np.arange(bias.shape[1]), drifting)
         assert 0 < len(drifting) < bias.shape[1]
         assert np.all(bias[:, clean] == 0)
-        # Each drifting sensor: zero before its onset, then a monotone
-        # one-signed ramp — additive miscalibration, not a zero-coded outage.
-        config = scenario_config("sensor-drift")
-        earliest = int(config.drift_onset * bias.shape[0])
-        assert np.all(bias[:earliest] == 0)
+        # Each drifting sensor: zero before its onset (past a quarter of the
+        # run), then a monotone one-signed ramp — additive miscalibration,
+        # not a zero-coded outage.
+        assert np.all(bias[: bias.shape[0] // 4] == 0)
         for sensor in drifting:
             column = bias[:, sensor]
             magnitude = np.abs(column)
@@ -97,39 +124,18 @@ class TestSensorDrift:
             signs = np.sign(column[magnitude > 0])
             assert len(set(signs.tolist())) == 1
 
-    def test_drifted_readings_stay_plausible(self, network):
-        series = run(network, "sensor-drift")
-        assert not series.failure_mask.any()
-        assert np.isfinite(series.values).all()
-        assert series.values.min() >= 0.0
-        assert series.values.max() <= series.config.speed_limit
+    def test_drifted_readings_stay_plausible(self, network, adjacency):
+        applied, _ = self.drift(network, adjacency)
+        values = applied.series.values
+        assert not applied.series.failure_mask.any()
+        assert np.isfinite(values).all()
+        assert values.min() >= 0.0
+        assert values.max() <= applied.series.config.speed_limit
 
-    def test_disabled_drift_is_bit_identical_and_unbiased(self, network):
-        from repro.data import SimulationConfig
-
-        base = simulate_traffic(
-            network, 300, kind="speed", config=SimulationConfig(),
-            rng=np.random.default_rng(21),
-        )
-        # drift_rate=0 must not consume any rng draws: the stream, and
-        # therefore every downstream dataset, stays bit-identical to pre-drift
-        # builds of the simulator.
-        assert base.drift_bias is None
-        from dataclasses import replace
-
-        off = simulate_traffic(
-            network, 300, kind="speed",
-            config=replace(SimulationConfig(), drift_fraction=0.5),  # rate=0
-            rng=np.random.default_rng(21),
-        )
-        assert off.drift_bias is None
-        np.testing.assert_array_equal(base.values, off.values)
-
-    def test_drift_data_serves_through_replay_split(self, network):
-        """The drift preset drives the online serving path end to end."""
+    def test_drift_data_serves_through_replay_split(self, network, adjacency):
+        """The drift scenario drives the online serving path end to end."""
         from repro.data import build_forecasting_data
         from repro.data.datasets import PRESETS, TrafficDataset
-        from repro.graph import gaussian_kernel_adjacency, shortest_path_distances
         from repro.models import build_model
         from repro.serve import (
             ModelRegistry,
@@ -141,14 +147,11 @@ class TestSensorDrift:
         )
         from repro.utils.seed import set_seed
 
-        series = run(network, "sensor-drift", steps=420)
-        adjacency = gaussian_kernel_adjacency(
-            shortest_path_distances(network.distances)
-        )
+        applied, _ = self.drift(network, adjacency, steps=420)
         data = build_forecasting_data(
             TrafficDataset(
                 spec=PRESETS["metr-la-sim"].scaled(num_nodes=8, num_steps=420),
-                series=series, network=network, adjacency=adjacency,
+                series=applied.series, network=network, adjacency=adjacency,
             )
         )
         set_seed(0)

@@ -1,35 +1,31 @@
 """Bit-identity of the engine fast paths and the vectorized batch gather.
 
-The cached-tape / in-place / fast-scatter backward paths and the
-sliding-window-view gather are pure performance work: they must produce
-*exactly* the same bytes as their reference implementations.  ``allclose``
-is not good enough here — the kill-and-resume equivalence contract compares
-training histories bit-for-bit, so any reordered float summation would
-surface as a spurious resume mismatch.
+The in-place / fast-scatter backward closures and the sliding-window-view
+gather are pure performance work: they must produce *exactly* the same
+bytes as their reference implementations.  ``allclose`` is not good enough
+here — the kill-and-resume equivalence contract compares training histories
+bit-for-bit, so any reordered float summation would surface as a spurious
+resume mismatch.
 
-The fused matmul path stays enabled on both legs of every comparison: it is
-an allclose-only rewrite by design (documented in docs/performance.md), so
-flipping it would compare different numerics rather than different code
-paths.
+The fused matmul path stays enabled on both legs of every comparison
+(``reference_backward(fused_matmul=True)``): it is an allclose-only rewrite
+by design (documented in docs/performance.md), so flipping it would compare
+different numerics rather than different code paths.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.data import build_forecasting_data, load_dataset
 from repro.data.windows import BatchIterator, WindowDataset
 from repro.models import build_model
-from repro.obs import FAST_CONFIG, REFERENCE_CONFIG
+from repro.obs import MemoryWatermark
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import (
-    Tensor,
-    backward_tape_stats,
-    configure_fast_backward,
-    fast_backward_config,
-    functional as F,
-)
+from repro.tensor import Tensor, functional as F, reference_backward
 from repro.utils.seed import set_seed
 
 # Models chosen to cover the structures that stress the fast paths: the
@@ -39,27 +35,22 @@ from repro.utils.seed import set_seed
 MODELS = ("D2STGNN", "FC-LSTM", "GraphWaveNet", "DCRNN")
 
 
-@pytest.fixture(autouse=True)
-def _restore_engine_config():
-    previous = fast_backward_config()
-    yield
-    configure_fast_backward(**previous)
+def _train_steps(name, data, batch_sizes=(16, 16)):
+    """Run one deterministic optimisation step per entry of ``batch_sizes``.
 
-
-def _train_steps(name, data, config, steps=2):
-    """Run ``steps`` deterministic optimisation steps under ``config``.
-
-    Returns (grads, params) as raw bytes; both must match across engine
-    configurations for the fast paths to be safe.
+    Consecutive training windows feed the steps, so a changing batch size
+    changes every shape in the graph between steps.  Returns (grads,
+    params) as raw bytes; both must match across engine configurations for
+    the fast paths to be safe.
     """
-    configure_fast_backward(**config)
     set_seed(0)
     model, _ = build_model(name, data, hidden=8, layers=1)
     optimizer = Adam(model.parameters(), lr=1e-3)
     scaler = data.scaler
-    iterator = iter(data.loader("train", batch_size=16, shuffle=False))
-    for _ in range(steps):
-        batch = next(iterator)
+    start = 0
+    for size in batch_sizes:
+        batch = data.train.gather(np.arange(start, start + size))
+        start += size
         optimizer.zero_grad()
         prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
         loss = F.masked_mae_loss(prediction, Tensor(batch.y))
@@ -71,43 +62,53 @@ def _train_steps(name, data, config, steps=2):
     return grads, params
 
 
+def _assert_fast_matches_reference(name, data, batch_sizes=(16, 16)):
+    fast = _train_steps(name, data, batch_sizes)
+    with reference_backward(fused_matmul=True):
+        reference = _train_steps(name, data, batch_sizes)
+    assert fast[0] == reference[0], f"{name} {batch_sizes}: gradients diverged"
+    assert fast[1] == reference[1], f"{name} {batch_sizes}: parameter updates diverged"
+
+
 class TestBackwardFastPaths:
     @pytest.mark.parametrize("name", MODELS)
     def test_grads_and_updates_bit_identical(self, name, tiny_data):
-        fast = _train_steps(name, tiny_data, FAST_CONFIG)
-        reference = _train_steps(name, tiny_data, REFERENCE_CONFIG)
-        assert fast[0] == reference[0], f"{name}: gradients diverged"
-        assert fast[1] == reference[1], f"{name}: parameter updates diverged"
+        _assert_fast_matches_reference(name, tiny_data)
 
-    def test_tape_replays_repeated_graphs(self, tiny_data):
-        """Same-shape steps hit the cached order; a shape change misses."""
-        configure_fast_backward(**FAST_CONFIG)
+    @given(
+        name=st.sampled_from(MODELS),
+        batch_sizes=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    )
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_shape_sequences_bit_identical(self, tiny_data, name, batch_sizes):
+        """Randomised oracle: shapes change from step to step."""
+        _assert_fast_matches_reference(name, tiny_data, tuple(batch_sizes))
+
+
+class TestBackwardMemory:
+    def test_only_leaf_grads_outlive_backward(self):
+        """After backward, the engine holds no op-node gradient buffer."""
+        data = build_forecasting_data(load_dataset("metr-la-sim", num_nodes=6, num_steps=420))
         set_seed(0)
-        model, _ = build_model("GraphWaveNet", tiny_data, hidden=8, layers=1)
-        scaler = tiny_data.scaler
-        batches = []
-        for batch in tiny_data.loader("train", batch_size=16, shuffle=False):
-            batches.append(batch)
-            if len(batches) == 3:
-                break
+        model, _ = build_model("D2STGNN", data, hidden=8, layers=1)
+        scaler = data.scaler
 
-        def backward(batch):
-            for p in model.parameters():
-                p.grad = None
-            out = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-            F.masked_mae_loss(out, Tensor(batch.y)).backward()
+        def step(indices):
+            model.zero_grad()
+            batch = data.train.gather(indices)
+            prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
+            F.masked_mae_loss(prediction, Tensor(batch.y)).backward()
 
-        backward(batches[0])
-        before = backward_tape_stats()
-        backward(batches[1])
-        backward(batches[2])
-        after = backward_tape_stats()
-        assert after["hits"] >= before["hits"] + 2
-
-        # A different batch size changes every shape: must miss, not replay.
-        small = tiny_data.train.gather(np.arange(4))
-        backward(small)
-        assert backward_tape_stats()["misses"] > after["misses"]
+        with MemoryWatermark() as watermark:
+            step(np.arange(8))
+            step(np.arange(8, 16))
+            live = watermark.live_bytes
+        leaf_bytes = sum(p.grad.nbytes for p in model.parameters() if p.grad is not None)
+        assert live == leaf_bytes
 
 
 class TestVectorizedGather:
