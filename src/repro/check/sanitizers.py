@@ -192,6 +192,13 @@ class detect_anomaly:
 
     Overhead is one ``np.isfinite().all()`` scan per op while active and
     exactly zero once the context exits (original methods are restored).
+
+    The patch is process-wide: while active, *every* thread's ``Tensor``
+    ops are checked, and a second ``detect_anomaly`` anywhere in the
+    process refuses to enter (it does not nest).  That makes it a
+    single-thread debugging tool — ``TrainerConfig(detect_anomaly=True)``
+    or an offline forward — not something for a concurrent serving path,
+    which scans only its outputs.
     """
 
     _active = False

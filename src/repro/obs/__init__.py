@@ -28,6 +28,7 @@ from .stepbench import compare_fast_reference, time_train_steps
 from .telemetry import (
     TELEMETRY_SCHEMA,
     epoch_record,
+    latency_percentiles_ms,
     memory_high_water_mark_bytes,
     recovery_record,
     resume_record,
@@ -49,6 +50,7 @@ __all__ = [
     "annotate_model_scopes",
     "compare_fast_reference",
     "epoch_record",
+    "latency_percentiles_ms",
     "recovery_record",
     "resume_record",
     "memory_high_water_mark_bytes",

@@ -15,6 +15,8 @@ from __future__ import annotations
 import resource
 import sys
 
+import numpy as np
+
 __all__ = [
     "TELEMETRY_SCHEMA",
     "epoch_record",
@@ -23,6 +25,7 @@ __all__ = [
     "sanitizer_record",
     "serving_record",
     "train_end_record",
+    "latency_percentiles_ms",
     "memory_high_water_mark_bytes",
 ]
 
@@ -38,6 +41,19 @@ def memory_high_water_mark_bytes() -> int:
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+
+
+def latency_percentiles_ms(latencies_s) -> dict[str, float]:
+    """``{"p50", "p95", "p99"}`` in milliseconds of latencies given in seconds.
+
+    Every value is 0.0 when there are no samples.  The one percentile path
+    shared by the serving engine, the sharded router, the load generator
+    and the scenario harness.
+    """
+    latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1000.0
+    if latencies_ms.size == 0:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    return {f"p{q}": float(np.percentile(latencies_ms, q)) for q in (50, 95, 99)}
 
 
 def epoch_record(

@@ -15,12 +15,10 @@ bottom to top:
   package allowed to invoke a model (lint rules R008/R009).
 * :class:`PredictionCache` — LRU over (version, window signature, horizon);
   a hot-swap or a new observation makes stale entries unreachable.
-* :class:`EngineCore` — the transport-free compute core: the
-  cold-start/outage/anomaly/error degradation ladder over store, cache and
-  batcher (:class:`DegradationPolicy`).
-* :class:`ServingEngine` — the single-process front door: a core plus
-  telemetry emission through :func:`repro.obs.serving_record`; the K=1
-  special case of the sharded stack.
+* :class:`ServingEngine` — the single-process front door and the engine
+  every shard runs: the cold-start/outage/anomaly/error degradation ladder
+  over store, cache and batcher (:class:`DegradationPolicy`), with
+  telemetry through :func:`repro.obs.serving_record`.
 * :class:`ShardedServingEngine` — the scaled front door: the graph split
   into K spatial shards (:func:`partition_graph`), one worker per shard
   behind a transport (:class:`LoopbackTransport` in-process,
@@ -48,7 +46,7 @@ injects serving chaos from :mod:`repro.faults.serving`),
 
 from .cache import PredictionCache
 from .degrade import DegradationPolicy, SupervisionPolicy, fallback_forecast
-from .engine import DEFAULT_OP_TIMEOUTS, EngineCore, ForecastResult, ServeConfig, ServingEngine
+from .engine import DEFAULT_OP_TIMEOUTS, ForecastResult, ServeConfig, ServingEngine
 from .loadgen import LoadResult, poisson_arrivals, run_load
 from .microbatch import ForecastRequest, MicroBatcher
 from .registry import ModelRegistry, ServableBundle, ServableSpec, make_servable
@@ -73,7 +71,6 @@ from .window_store import SlidingWindowStore
 __all__ = [
     "DEFAULT_OP_TIMEOUTS",
     "DegradationPolicy",
-    "EngineCore",
     "ForecastRequest",
     "ForecastResult",
     "GraphPartition",

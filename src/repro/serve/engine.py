@@ -1,16 +1,9 @@
 """The serving engine: ingestion, caching, batching and degradation in one.
 
-Since the sharding refactor this module is split along the engine/transport
-seam (see docs/scaling.md):
-
-* :class:`EngineCore` is the **pure compute core** — the full serving
-  decision ladder over a registry, a window store, a prediction cache and a
-  micro-batcher, with no opinion about where requests come from.  Shard
-  workers run one core each, behind whatever transport
-  (:mod:`repro.serve.transport`) carries their requests.
-* :class:`ServingEngine` is the single-process front door — a core plus
-  telemetry emission.  It is the K=1 special case of the sharded stack and
-  byte-for-byte the engine previous releases shipped.
+:class:`ServingEngine` is the one serving core.  The single-process front
+door is one engine; the sharded router (docs/scaling.md) runs one engine
+per shard behind a transport (:mod:`repro.serve.transport`), which is what
+keeps K=1 sharded serving bit-identical to the plain engine.
 
 One ``forecast`` call walks the full serving decision ladder:
 
@@ -22,8 +15,8 @@ One ``forecast`` call walks the full serving decision ladder:
 4. **model** — submit to the :class:`~repro.serve.MicroBatcher`, which
    coalesces concurrent requests into one batched forward under the tensor
    engine's inference mode;
-5. **degraded model** — the forward raised or returned non-finite values →
-   fallback (or re-raise, per policy).
+5. **degraded model** — the forward raised, or the output scan found
+   non-finite values → fallback (or re-raise, per policy).
 
 Every answer is a :class:`ForecastResult` in raw units, stamped with its
 source, servable version and end-to-end latency; :meth:`emit_telemetry`
@@ -39,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..check.sanitizers import AnomalyError
-from ..obs.telemetry import serving_record
+from ..obs.telemetry import latency_percentiles_ms, serving_record
 from ..utils.timer import now
 from .cache import PredictionCache
 from .degrade import DegradationPolicy, SupervisionPolicy, fallback_forecast
@@ -47,7 +40,7 @@ from .microbatch import ForecastRequest, MicroBatcher
 from .registry import ModelRegistry
 from .window_store import SlidingWindowStore
 
-__all__ = ["DEFAULT_OP_TIMEOUTS", "ServeConfig", "ForecastResult", "EngineCore", "ServingEngine"]
+__all__ = ["DEFAULT_OP_TIMEOUTS", "ServeConfig", "ForecastResult", "ServingEngine"]
 
 # Per-op transport deadlines (seconds).  A forecast that takes 10 s is a
 # dead shard for serving purposes — far below the old blanket 60 s — while
@@ -81,7 +74,6 @@ class ServeConfig:
     max_wait_s: float = 0.002
     request_timeout_s: float = 30.0
     cache_capacity: int = 256
-    anomaly_check: bool = True
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     op_timeouts_s: dict = field(default_factory=dict)
     supervision: SupervisionPolicy | None = None
@@ -110,15 +102,15 @@ class ForecastResult:
     latency_s: float
 
 
-class EngineCore:
-    """The transport-free serving core: one store, one ladder, one batcher.
+class ServingEngine:
+    """Online forecasts over a live observation stream.
 
     ``registry`` supplies the active servable (hot-swappable between
     batches); ``store`` holds the streaming window.  Everything here is
-    pure request-in/result-out compute — the in-process
-    :class:`ServingEngine`, the loopback transport and the multiprocess
-    shard workers all run the same core, which is what keeps K=1 sharded
-    serving bit-identical to the single-process engine.
+    request-in/result-out compute — the single-process front door, the
+    loopback transport and the multiprocess shard workers all run the same
+    engine.  ``sink`` (optional) receives the telemetry summary from
+    :meth:`emit_telemetry`.
     """
 
     def __init__(
@@ -126,16 +118,17 @@ class EngineCore:
         registry: ModelRegistry,
         store: SlidingWindowStore,
         config: ServeConfig | None = None,
+        sink=None,
     ) -> None:
         self.registry = registry
         self.store = store
         self.config = config or ServeConfig()
+        self.sink = sink
         self.cache = PredictionCache(capacity=self.config.cache_capacity)
         self.batcher = MicroBatcher(
             registry.resolve,
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_s,
-            anomaly_check=self.config.anomaly_check,
         )
         self._lock = threading.Lock()
         self._latencies: list[float] = []
@@ -207,7 +200,7 @@ class EngineCore:
         try:
             pending = self.batcher.submit(ForecastRequest(x, tod, dow))
             scaled, version = pending.result(timeout=self.config.request_timeout_s)
-        except AnomalyError:
+        except AnomalyError:  # a forward run under an outer detect_anomaly
             if policy.fallback_on_nan:
                 return self._fallback(bundle, horizon, "anomaly", start)
             raise
@@ -255,22 +248,18 @@ class EngineCore:
         batcher = self.batcher.stats()
         cache = self.cache.stats()
         with self._lock:
-            latencies_ms = np.asarray(self._latencies, dtype=np.float64) * 1000.0
+            latencies = list(self._latencies)
             fallback_reasons = dict(self._fallback_reasons)
             served_by_model = self._served_by_model
             served_by_cache = self._served_by_cache
-        percentile = (
-            (lambda q: float(np.percentile(latencies_ms, q)))
-            if latencies_ms.size
-            else (lambda q: 0.0)
-        )
+        latency_ms = latency_percentiles_ms(latencies)
         return serving_record(
-            requests=int(latencies_ms.size),
+            requests=len(latencies),
             batches=batcher["batches"],
             mean_batch_size=batcher["mean_batch_size"],
-            latency_ms_p50=percentile(50),
-            latency_ms_p95=percentile(95),
-            latency_ms_p99=percentile(99),
+            latency_ms_p50=latency_ms["p50"],
+            latency_ms_p95=latency_ms["p95"],
+            latency_ms_p99=latency_ms["p99"],
             queue_depth_max=batcher["queue_depth_max"],
             cache_hits=cache["hits"],
             cache_misses=cache["misses"],
@@ -282,38 +271,19 @@ class EngineCore:
             active_version=self.registry.active_version,
         )
 
-    def close(self) -> None:
-        """Stop the micro-batcher's worker thread."""
-        self.batcher.stop()
-
-    def __enter__(self) -> "EngineCore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ServingEngine(EngineCore):
-    """Online forecasts over a live observation stream (single process).
-
-    An :class:`EngineCore` plus telemetry emission — the K=1 special case
-    of the sharded serving stack.  ``sink`` (optional) receives the
-    telemetry summary from :meth:`emit_telemetry`.
-    """
-
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        store: SlidingWindowStore,
-        config: ServeConfig | None = None,
-        sink=None,
-    ) -> None:
-        super().__init__(registry, store, config)
-        self.sink = sink
-
     def emit_telemetry(self) -> dict:
         """Build the summary record and emit it to the sink (if any)."""
         report = self.telemetry_report()
         if self.sink is not None:
             self.sink.emit(report)
         return report
+
+    def close(self) -> None:
+        """Stop the micro-batcher's worker thread."""
+        self.batcher.stop()
+
+    def __enter__(self) -> "ServingEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs.telemetry import latency_percentiles_ms
 from ..utils.timer import now
 
 __all__ = ["LoadResult", "poisson_arrivals", "run_load"]
@@ -130,12 +131,7 @@ def _summarise(
                 shed += 1
         latencies.append(result.latency_s)
         timeline.append((float(completed_at), result.source, result.reason))
-    latencies_ms = np.asarray(latencies, dtype=np.float64) * 1000.0
-    percentile = (
-        (lambda q: float(np.percentile(latencies_ms, q)))
-        if latencies_ms.size
-        else (lambda q: 0.0)
-    )
+    latency_ms = latency_percentiles_ms(latencies)
     return LoadResult(
         mode=mode,
         requests=len(events),
@@ -145,9 +141,9 @@ def _summarise(
         shed=shed,
         sources=sources,
         fallback_reasons=fallback_reasons,
-        latency_ms_p50=percentile(50),
-        latency_ms_p95=percentile(95),
-        latency_ms_p99=percentile(99),
+        latency_ms_p50=latency_ms["p50"],
+        latency_ms_p95=latency_ms["p95"],
+        latency_ms_p99=latency_ms["p99"],
         timeline=tuple(timeline),
     )
 

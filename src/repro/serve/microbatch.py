@@ -22,14 +22,12 @@ bit-identical to single-request outputs — asserted by the serve benchmark.
 
 from __future__ import annotations
 
-import contextlib
 import queue
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..check.sanitizers import detect_anomaly
 from ..utils.timer import now
 
 __all__ = ["ForecastRequest", "MicroBatcher"]
@@ -79,11 +77,8 @@ class MicroBatcher:
 
     ``resolve`` is a callable returning ``(version, model, bundle)`` —
     normally :meth:`~repro.serve.ModelRegistry.resolve` — re-invoked at the
-    start of every batch so hot-swaps take effect between batches.  With
-    ``anomaly_check`` the forward runs under
-    :func:`repro.check.detect_anomaly`, so a NaN/Inf raises immediately
-    naming the originating op (and the engine's degradation policy can
-    catch it) instead of silently propagating into responses.
+    start of every batch so hot-swaps take effect between batches.
+    Outputs are returned as computed: the engine scans them for NaN/Inf.
     """
 
     def __init__(
@@ -91,14 +86,12 @@ class MicroBatcher:
         resolve,
         max_batch: int = 16,
         max_wait_s: float = 0.002,
-        anomaly_check: bool = False,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self._resolve = resolve
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.anomaly_check = anomaly_check
         self._queue: queue.Queue = queue.Queue()
         self._worker: threading.Thread | None = None
         self._shutdown = threading.Event()
@@ -123,8 +116,7 @@ class MicroBatcher:
         x = np.concatenate([request.x for request in requests], axis=0)
         tod = np.concatenate([request.tod for request in requests], axis=0)
         dow = np.concatenate([request.dow for request in requests], axis=0)
-        guard = detect_anomaly() if self.anomaly_check else contextlib.nullcontext()
-        with model.inference(), guard:
+        with model.inference():
             out = model(x, tod, dow)
         out_np = out.numpy()
         with self._lock:

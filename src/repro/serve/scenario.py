@@ -13,7 +13,7 @@ On top of the replay drive, the harness:
   a **mid-stream graph-version bump**: the closure's rewritten adjacency is
   packaged into a new servable bundle and published/activated on the
   engine (a real version rollout), and the engine's per-tick adjacency tag
-  (:meth:`~repro.serve.EngineCore.set_graph_version`) invalidates
+  (:meth:`~repro.serve.ServingEngine.set_graph_version`) invalidates
   predictions cached against the old graph;
 * scores the first forecast of every tick against the *event-applied*
   ground truth, overall and **conditionally** per event — affected vs.
@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.events import AppliedScenario, Scenario, apply_events
+from ..obs.telemetry import latency_percentiles_ms
 from ..training.metrics import compute_all
 
 __all__ = ["SCENARIO_SCHEMA", "ScenarioRunResult", "run_scenario", "save_scenario_report"]
@@ -83,15 +84,9 @@ def _publish(engine, bundle) -> str:
 
 
 def _percentiles_ms(latencies_s: list[float]) -> dict:
-    latencies = np.asarray(latencies_s, dtype=np.float64) * 1000.0
-    if latencies.size == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
-    return {
-        "p50": float(np.percentile(latencies, 50)),
-        "p95": float(np.percentile(latencies, 95)),
-        "p99": float(np.percentile(latencies, 99)),
-        "mean": float(latencies.mean()),
-    }
+    latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1000.0
+    mean_ms = float(latencies_ms.mean()) if latencies_ms.size else 0.0
+    return {**latency_percentiles_ms(latencies_s), "mean": mean_ms}
 
 
 def _serving_summary(records: list[tuple[int, str, str | None, float]]) -> dict:

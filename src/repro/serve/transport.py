@@ -1,14 +1,14 @@
-"""Transports: how forecast traffic reaches a shard's serving core.
+"""Transports: how forecast traffic reaches a shard's serving engine.
 
-The engine/transport split (docs/scaling.md) keeps
-:class:`~repro.serve.EngineCore` pure compute and pushes *where the core
-runs* behind one small request/reply surface:
+Each shard runs one :class:`~repro.serve.ServingEngine`; a transport
+decides *where that engine runs* behind one small request/reply surface
+(docs/scaling.md):
 
-* :class:`LoopbackTransport` — the core runs in-process and ops execute
+* :class:`LoopbackTransport` — the engine runs in-process and ops execute
   inline in the caller's thread.  Zero overhead, fully deterministic, the
   transport every test drives; the K=1 loopback shard is bit-identical to
   the plain :class:`~repro.serve.ServingEngine`.
-* :class:`ProcessTransport` — the core runs in its own worker process
+* :class:`ProcessTransport` — the engine runs in its own worker process
   (one per shard), fed over a duplex pipe.  The worker owns its model,
   window store, cache and micro-batcher outright, so K workers serve K
   graph shards with no shared interpreter state.
@@ -36,7 +36,7 @@ worker applies to its next regular op — the injectors in
 on top of it.
 
 No model is ever invoked in this module (lint rules R008/R009): transports
-move requests, the core's micro-batcher runs forwards.
+move requests, the engine's micro-batcher runs forwards.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import threading
 import time
 
 from ..utils.timer import now
-from .engine import DEFAULT_OP_TIMEOUTS, EngineCore, ForecastResult, ServeConfig
+from .engine import DEFAULT_OP_TIMEOUTS, ForecastResult, ServeConfig, ServingEngine
 from .registry import ModelRegistry
 from .window_store import SlidingWindowStore
 
@@ -79,12 +79,12 @@ class TransportError(RuntimeError):
         self.op = op
 
 
-def _build_core(bundle, version: str, config: ServeConfig | None) -> EngineCore:
-    """One shard's serving stack: registry + store + core, from a bundle."""
+def _build_core(bundle, version: str, config: ServeConfig | None) -> ServingEngine:
+    """One shard's serving stack: registry + store + engine, from a bundle."""
     registry = ModelRegistry()
     registry.publish(bundle, version=version)
     store = SlidingWindowStore.for_bundle(bundle)
-    return EngineCore(registry, store, config)
+    return ServingEngine(registry, store, config)
 
 
 class WorkerTransport:
@@ -155,8 +155,8 @@ class WorkerTransport:
         self.close()
 
 
-def _apply(core: EngineCore, op: str, payload: tuple):
-    """Execute one transport op against a serving core."""
+def _apply(core: ServingEngine, op: str, payload: tuple):
+    """Execute one transport op against a shard's serving engine."""
     if op == "observe":
         values, tod, dow = payload[:3]
         graph_version = payload[3] if len(payload) > 3 else None

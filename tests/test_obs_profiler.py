@@ -16,6 +16,7 @@ from repro.obs import (
     StdoutSink,
     TELEMETRY_SCHEMA,
     annotate_model_scopes,
+    latency_percentiles_ms,
     memory_high_water_mark_bytes,
     read_jsonl,
 )
@@ -197,6 +198,14 @@ class TestTrainerTelemetry:
 
     def test_memory_high_water_mark_positive(self):
         assert memory_high_water_mark_bytes() > 1024 * 1024
+
+    def test_latency_percentiles_ms_match_numpy(self, rng):
+        latencies_s = list(rng.lognormal(-5.0, 1.0, size=257))
+        expected_ms = np.asarray(latencies_s, dtype=np.float64) * 1000.0
+        assert latency_percentiles_ms(latencies_s) == {
+            f"p{q}": float(np.percentile(expected_ms, q)) for q in (50, 95, 99)
+        }
+        assert latency_percentiles_ms([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 class TestSanitizerTelemetry:
     """Sanitizer trips flow through the same MetricsSink as epoch records."""

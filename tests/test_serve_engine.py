@@ -1,5 +1,7 @@
 """The assembled serving stack: engine flows, degradation and telemetry."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,39 @@ class TestDegradation:
             _warm(engine, tiny_data)
             with pytest.raises(AnomalyError):
                 engine.forecast()
+
+
+class TestConcurrentEngines:
+    def test_two_engines_in_one_process_serve_from_the_model(self, bundle, tiny_data):
+        # Two engines whose batcher threads overlap must not interfere: a
+        # process-wide forward hook on one would fail the other's forwards.
+        series = tiny_data.dataset.series
+        rounds = 60
+        engines = [_engine(bundle), _engine(bundle)]
+        answers: list[list] = [[], []]
+
+        def drive(index: int) -> None:
+            engine = engines[index]
+            for step in range(engine.store.history + rounds):
+                engine.observe(
+                    series.values[step], int(series.time_of_day[step]),
+                    int(series.day_of_week[step]),
+                )
+                if engine.store.ready:
+                    answers[index].append(engine.forecast())
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            for engine in engines:
+                engine.close()
+        for results in answers:
+            assert len(results) == rounds + 1
+            assert [(r.source, r.reason) for r in results] == [("model", None)] * len(results)
 
 
 class TestHotSwap:
