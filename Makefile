@@ -61,8 +61,10 @@ serve-scale-smoke:
 
 # Self-healing gate at the tiny scale: a K=2 process-worker run with a seeded
 # mid-run SIGKILL asserting zero unanswered requests, at least one supervised
-# restart, and model-tier serving after the supervisor settles; the
-# unsupervised arm must stay permanently degraded on the same schedule.
+# restart, model-tier serving after the supervisor settles, and every live
+# worker (the restarted one included) running its BLAS pool at cpus // K
+# threads; the unsupervised arm must stay permanently degraded on the same
+# schedule.
 # The bench/full profiles add hang arms and write BENCH_serve_chaos.json.
 serve-chaos-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve_chaos.py --benchmark-only -q

@@ -26,8 +26,9 @@ answers, never lose them.
 Results land in ``benchmarks/results/serve_chaos.json`` and (outside the
 tiny profile) the tracked repo-root ``BENCH_serve_chaos.json``.  The tiny
 profile is the ``make serve-chaos-smoke`` CI arm: a K=2 process run with
-one kill, gating zero unanswered requests and at least one successful
-supervised restart.
+one kill, gating zero unanswered requests, at least one successful
+supervised restart, and that every live worker (the restarted one
+included) runs its BLAS pool at its share of the cores.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from repro.serve import (
     make_servable,
     run_load,
 )
+from repro.utils.blas import blas_threads, shard_blas_threads
 from repro.utils.seed import set_seed
 
 DATASET = "pems08-sim"
@@ -134,6 +136,11 @@ def _drive(bundle, data, cfg, *, supervised: bool, schedule, steps: int) -> dict
         "partial_fallbacks": report["partial_fallbacks"],
         "model_tier_after_fault": _model_tier_after(result.timeline, fault_request),
         "settled_source": settled_source,
+        # BLAS pool size each reachable worker read back after sizing it.
+        "blas_threads": [
+            shard["blas_threads"] for shard in report["shards"]
+            if not shard.get("unreachable")
+        ],
         **recovery,
     }
 
@@ -273,6 +280,16 @@ def test_serve_chaos(benchmark):
     assert sup["restarts"] >= 1, "supervised kill arm never restarted the worker"
     assert sup["settled_source"] == "model", (
         "the restarted worker did not return to model-tier serving"
+    )
+    sized = None if blas_threads() is None else shard_blas_threads(cfg["num_shards"])
+    for arm, row in results.items():
+        if isinstance(row, dict):
+            assert row["blas_threads"] == [sized] * len(row["blas_threads"]), (
+                f"{arm}: live workers report BLAS pools {row['blas_threads']}, "
+                f"expected {sized} threads each"
+            )
+    assert len(sup["blas_threads"]) == cfg["num_shards"], (
+        "a supervised worker (the restarted one included) did not report its BLAS pool"
     )
     assert unsup["restarts"] == 0, "unsupervised arm restarted a worker"
     assert unsup["model_tier_after_fault"] == 0, (

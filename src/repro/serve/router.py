@@ -46,6 +46,7 @@ import threading
 import numpy as np
 
 from ..obs.telemetry import latency_percentiles_ms, serving_record
+from ..utils.blas import shard_blas_threads
 from ..utils.timer import now
 from .degrade import fallback_forecast
 from .engine import ForecastResult, ServeConfig
@@ -134,13 +135,15 @@ class ShardedServingEngine:
         self.active_version = "v1"
         self._fallback_profiles = {"v1": bundle.fallback_profile}
         self._bundles = {"v1": bundle}  # publish-ordered full-graph catalog
-        transport_cls = _TRANSPORTS[transport]
+        # Each process worker gets its share of the cores for its BLAS pool;
+        # K workers at the default (one thread per core) oversubscribe them.
+        self._worker_options = (
+            {"blas_threads": shard_blas_threads(self.partition.num_shards)}
+            if transport == "process" else {}
+        )
         self.workers = [
-            transport_cls(
-                shard_bundle(bundle, plan), version="v1", config=self.config,
-                shard=plan.shard,
-            )
-            for plan in self.partition.plans
+            self._spawn(bundle, "v1", shard)
+            for shard in range(self.partition.num_shards)
         ]
         self.journal = ReplayJournal(
             num_shards=self.partition.num_shards, capacity=bundle.spec.history
@@ -168,24 +171,29 @@ class ShardedServingEngine:
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
+    def _spawn(self, bundle: ServableBundle, version: str, shard: int):
+        """Start ``shard``'s transport serving its slice of ``bundle``."""
+        return _TRANSPORTS[self.transport_kind](
+            shard_bundle(bundle, self.partition.plans[shard]), version=version,
+            config=self.config, shard=shard, **self._worker_options,
+        )
+
     def build_worker(self, shard: int):
         """A fresh worker for ``shard`` carrying the full version catalog.
 
         Spawns the transport on the first published bundle, republishes
         every later version (without activating), then activates whatever
-        the router currently serves.  The supervisor re-hydrates its window
-        store from the replay journal before swapping it live.
+        the router currently serves.  A process worker gets the same BLAS
+        pool size as the original, so a restart never brings back an
+        oversubscribed pool.  The supervisor re-hydrates its window store
+        from the replay journal before swapping it live.
         """
         plan = self.partition.plans[shard]
-        transport_cls = _TRANSPORTS[self.transport_kind]
         with self._state_lock:
             catalog = list(self._bundles.items())
             active = self.active_version
         first_version, first_bundle = catalog[0]
-        worker = transport_cls(
-            shard_bundle(first_bundle, plan), version=first_version,
-            config=self.config, shard=shard,
-        )
+        worker = self._spawn(first_bundle, first_version, shard)
         try:
             for version, bundle in catalog[1:]:
                 worker.request("publish", (shard_bundle(bundle, plan), version, False))
@@ -510,7 +518,7 @@ class ShardedServingEngine:
                 shards.append({
                     "requests": 0, "batches": 0, "mean_batch_size": 0.0,
                     "queue_depth_max": 0, "cache_hits": 0, "cache_misses": 0,
-                    "unreachable": True,
+                    "blas_threads": None, "unreachable": True,
                 })
             else:
                 shards.append(outcome)

@@ -11,7 +11,8 @@ decides *where that engine runs* behind one small request/reply surface
 * :class:`ProcessTransport` — the engine runs in its own worker process
   (one per shard), fed over a duplex pipe.  The worker owns its model,
   window store, cache and micro-batcher outright, so K workers serve K
-  graph shards with no shared interpreter state.
+  graph shards with no shared interpreter state, and it sizes its own
+  OpenBLAS pool (``blas_threads``) before building its engine.
 
 Both speak the same op set — ``observe``, ``forecast``, ``set_graph``,
 ``publish``, ``activate``, ``telemetry``, ``ping``, ``stop`` — and both
@@ -45,6 +46,7 @@ import multiprocessing as mp
 import threading
 import time
 
+from ..utils.blas import set_blas_threads
 from ..utils.timer import now
 from .engine import DEFAULT_OP_TIMEOUTS, ForecastResult, ServeConfig, ServingEngine
 from .registry import ModelRegistry
@@ -155,8 +157,15 @@ class WorkerTransport:
         self.close()
 
 
-def _apply(core: ServingEngine, op: str, payload: tuple):
-    """Execute one transport op against a shard's serving engine."""
+def _apply(
+    core: ServingEngine, op: str, payload: tuple, blas_threads: int | None = None
+):
+    """Execute one transport op against a shard's serving engine.
+
+    ``blas_threads`` is the worker's OpenBLAS pool size as read back after
+    sizing it (``None`` for an unsized, in-process core); ``telemetry``
+    reports it beside the engine's own record.
+    """
     if op == "observe":
         values, tod, dow = payload[:3]
         graph_version = payload[3] if len(payload) > 3 else None
@@ -172,7 +181,7 @@ def _apply(core: ServingEngine, op: str, payload: tuple):
         core.registry.activate(payload[0])
         return None
     if op == "telemetry":
-        return core.telemetry_report()
+        return {**core.telemetry_report(), "blas_threads": blas_threads}
     if op == "ping":
         return "pong"
     raise ValueError(f"unknown transport op {op!r}")
@@ -214,8 +223,15 @@ class LoopbackTransport(WorkerTransport):
         self.core.close()
 
 
-def _worker_main(conn, bundle, version: str, config: ServeConfig | None) -> None:
+def _worker_main(
+    conn, bundle, version: str, config: ServeConfig | None, blas_threads: int | None
+) -> None:
     """Shard worker process body: serve ops from the pipe until ``stop``.
+
+    ``blas_threads`` sizes this process's OpenBLAS pool before the engine
+    is built (``None`` keeps the pool inherited from the parent).  The
+    worker is forked after numpy loaded OpenBLAS, so only the library's
+    setter can still resize the pool; ``OPENBLAS_NUM_THREADS`` would not.
 
     Requests are ``(seq, op, payload)`` and every regular op is answered
     exactly once — ``(seq, "ok", value)`` or ``(seq, "error", exception)``
@@ -229,6 +245,8 @@ def _worker_main(conn, bundle, version: str, config: ServeConfig | None) -> None
     next op; ``("drop_next",)`` executes it but never replies) and are
     themselves never answered.
     """
+    if blas_threads is not None:
+        blas_threads = set_blas_threads(blas_threads)
     core = _build_core(bundle, version, config)
     delay_next_s = 0.0
     drop_next = False
@@ -251,7 +269,7 @@ def _worker_main(conn, bundle, version: str, config: ServeConfig | None) -> None
                 time.sleep(delay_next_s)
                 delay_next_s = 0.0
             try:
-                reply = (seq, "ok", _apply(core, op, payload))
+                reply = (seq, "ok", _apply(core, op, payload, blas_threads))
             except BaseException as error:  # answered, not lost — router degrades
                 reply = (seq, "error", error)
             if drop_next:
@@ -272,6 +290,11 @@ class ProcessTransport(WorkerTransport):
     poisons the lane: the in-flight request is abandoned and its eventual
     reply (if the worker was merely slow) is drained and discarded by seq
     before the next ``post``.
+
+    ``blas_threads`` sizes the worker's OpenBLAS pool inside the child,
+    before it builds its engine; ``None`` (the default) keeps the pool the
+    child inherits.  The router passes each worker its share of the cores
+    (:func:`repro.utils.blas.shard_blas_threads`).
     """
 
     def __init__(
@@ -283,6 +306,7 @@ class ProcessTransport(WorkerTransport):
         shard: int | None = None,
         request_timeout_s: float | None = None,
         context: str | None = None,
+        blas_threads: int | None = None,
     ) -> None:
         ctx = mp.get_context(context) if context else mp.get_context()
         self._conn, child = ctx.Pipe(duplex=True)
@@ -296,7 +320,7 @@ class ProcessTransport(WorkerTransport):
         self._broken = False
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child, bundle, version, config),
+            args=(child, bundle, version, config, blas_threads),
             name="repro-serve-shard",
             daemon=True,
         )

@@ -31,6 +31,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,7 +48,21 @@ __all__ = [
 
 DEFAULT_DTYPE = np.float32
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Graph-recording state, per thread; every thread starts out recording.
+
+    Per thread because serving runs forwards on micro-batcher threads: with
+    one process-wide flag, two overlapping ``inference_mode`` regions restore
+    each other's saved state and can leave recording off for every thread,
+    a training thread's included.
+    """
+
+    enabled = True
+    inference = False
+
+
+_MODE = _GradMode()
 
 # Observability hook (installed by repro.obs.profiler, None otherwise).  When
 # set, backward() routes each node's gradient closure through it so the
@@ -107,21 +122,17 @@ def reference_backward(*, fused_matmul: bool = False):
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph recording (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _MODE.enabled
+    _MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the backward graph."""
-    return _GRAD_ENABLED
-
-
-_INFERENCE_MODE = False
+    """Return whether operations on this thread record the backward graph."""
+    return _MODE.enabled
 
 
 @contextlib.contextmanager
@@ -133,19 +144,18 @@ def inference_mode():
     backward is left untouched; it additionally flags the region through
     :func:`is_inference_mode` for code that must know it is serving.
     """
-    global _GRAD_ENABLED, _INFERENCE_MODE
-    previous = (_GRAD_ENABLED, _INFERENCE_MODE)
-    _GRAD_ENABLED = False
-    _INFERENCE_MODE = True
+    previous = (_MODE.enabled, _MODE.inference)
+    _MODE.enabled = False
+    _MODE.inference = True
     try:
         yield
     finally:
-        _GRAD_ENABLED, _INFERENCE_MODE = previous
+        _MODE.enabled, _MODE.inference = previous
 
 
 def is_inference_mode() -> bool:
-    """Return whether an :func:`inference_mode` context is currently active."""
-    return _INFERENCE_MODE
+    """Return whether an :func:`inference_mode` context is active on this thread."""
+    return _MODE.inference
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -315,7 +325,7 @@ class Tensor:
     ) -> "Tensor":
         # Single pass over parents; ops run ~1.5k times per train step, so
         # avoiding the any()/generator pair is measurable.
-        tracked = [p for p in parents if p.requires_grad] if _GRAD_ENABLED else ()
+        tracked = [p for p in parents if p.requires_grad] if _MODE.enabled else ()
         if not tracked:
             return Tensor(data)
         # Inlined Tensor() construction: ops hand _make a numpy array (full

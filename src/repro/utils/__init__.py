@@ -1,7 +1,8 @@
-"""Seeding, timing, atomic persistence and reporting utilities."""
+"""Seeding, timing, atomic persistence, BLAS sizing and reporting utilities."""
 
 from .ascii_plot import bar_chart, side_by_side, sparkline
 from .atomic import atomic_savez, atomic_write
+from .blas import blas_threads, set_blas_threads, shard_blas_threads
 from .checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -17,6 +18,7 @@ __all__ = [
     "atomic_savez",
     "atomic_write",
     "bar_chart",
+    "blas_threads",
     "side_by_side",
     "sparkline",
     "StopwatchStats",
@@ -27,6 +29,8 @@ __all__ = [
     "now",
     "save_checkpoint",
     "save_training_checkpoint",
+    "set_blas_threads",
     "set_seed",
+    "shard_blas_threads",
     "spawn_rng",
 ]

@@ -1,5 +1,7 @@
 """The engine's inference mode: no recording, same numbers."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,38 @@ class TestContext:
                 assert is_inference_mode()
             assert not is_grad_enabled()  # outer no_grad still active
         assert is_grad_enabled()
+
+    def test_overlapping_regions_on_two_threads_keep_recording_on(self):
+        # Serving threads' regions overlap: A enters, B enters, A exits,
+        # B exits.  Neither may switch recording off for another thread,
+        # during the overlap or after it.
+        steps = [threading.Event() for _ in range(3)]
+
+        def region(enter_after, entered, exit_after, exited):
+            if enter_after is not None:
+                steps[enter_after].wait(timeout=10)
+            with inference_mode():
+                steps[entered].set()
+                steps[exit_after].wait(timeout=10)
+            if exited is not None:
+                steps[exited].set()
+
+        threads = [
+            threading.Thread(target=region, args=(None, 0, 1, 2)),
+            threading.Thread(target=region, args=(0, 1, 2, None)),
+        ]
+        for thread in threads:
+            thread.start()
+        steps[1].wait(timeout=10)
+        during = is_grad_enabled(), is_inference_mode()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(step.is_set() for step in steps)
+        assert during == (True, False)
+        assert is_grad_enabled() and not is_inference_mode()
+        a = Tensor(np.ones(2, np.float32), requires_grad=True)
+        assert (a * 2.0).requires_grad
 
     def test_no_graph_is_built(self):
         a = Tensor(np.ones((2, 2), np.float32), requires_grad=True)

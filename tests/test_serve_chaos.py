@@ -37,6 +37,7 @@ from repro.serve import (
     make_servable,
     run_load,
 )
+from repro.utils.blas import blas_threads, shard_blas_threads
 from repro.utils.seed import set_seed
 
 
@@ -402,6 +403,19 @@ class TestSupervisedRecovery:
             assert report["restarts"] == 1
             health = {row["shard"]: row for row in report["shard_health"]}
             assert health[0]["alive"] is True and health[0]["restarts"] == 1
+
+    def test_restarted_worker_keeps_the_sized_blas_pool(self, bundle, tiny_data):
+        engine = _sharded(bundle, supervised=True)
+        with engine:
+            _warm(engine, tiny_data)
+            killed_pid = engine.workers[1].process.pid
+            _sigkill(engine, 1)
+            assert engine.supervisor.poll_now() == 1
+            assert engine.workers[1].process.pid != killed_pid
+            report = engine.telemetry_report()
+        assert report["restarts"] == 1
+        sized = None if blas_threads() is None else shard_blas_threads(2)
+        assert [shard["blas_threads"] for shard in report["shards"]] == [sized, sized]
 
     def test_sigkill_mid_load_answers_every_request(self, bundle, tiny_data):
         engine = _sharded(bundle, supervised=True)

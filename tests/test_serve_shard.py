@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.data import build_forecasting_data, load_dataset
 from repro.graph import cut_edges, greedy_min_cut, hop_neighborhood
 from repro.models import build_model
 from repro.serve import (
@@ -25,6 +26,7 @@ from repro.serve import (
     run_load,
     shard_bundle,
 )
+from repro.utils.blas import blas_threads, shard_blas_threads
 from repro.utils.checkpoint import CheckpointError
 from repro.utils.seed import set_seed
 
@@ -332,6 +334,48 @@ class TestProcessTransport:
         finally:
             transport.close()
         assert not transport.process.is_alive()
+
+
+class TestShardBlasPool:
+    """Process workers run a sized BLAS pool; the parent keeps the default."""
+
+    @pytest.mark.parametrize("model_name", ["D2STGNN", "STGCN"])
+    def test_sized_process_shards_equal_parent_loopback_bitwise(self, model_name):
+        # At N=256 the parent's OpenBLAS worker thread takes part in both
+        # models' forwards (its CPU time grows; at N=128 D2STGNN's products
+        # stay under OpenBLAS's threading threshold), so the two pools
+        # really compute differently split products.
+        data = build_forecasting_data(
+            load_dataset("pems08-sim", num_nodes=256, num_steps=420)
+        )
+        set_seed(0)
+        model, _ = build_model(model_name, data, hidden=8, layers=1)
+        bundle = make_servable(model_name, model, data, hidden=8, layers=1)
+        config = ServeConfig(max_wait_s=0.001)
+        process = ShardedServingEngine(bundle, num_shards=2, config=config)
+        loopback = ShardedServingEngine(
+            bundle, num_shards=2, config=config, transport="loopback",
+            partition=process.partition,
+        )
+        series = data.dataset.series
+        history = bundle.spec.history
+        with process, loopback:
+            for index in range(history + 3):
+                for engine in (process, loopback):
+                    engine.observe(
+                        series.values[index], int(series.time_of_day[index]),
+                        int(series.day_of_week[index]),
+                    )
+                if index + 1 < history:
+                    continue
+                served, expected = process.forecast(), loopback.forecast()
+                assert served.source == expected.source == "model"
+                assert served.values.tobytes() == expected.values.tobytes()
+            shards = process.telemetry_report()["shards"]
+            loopback_shards = loopback.telemetry_report()["shards"]
+        sized = None if blas_threads() is None else shard_blas_threads(2)
+        assert [shard["blas_threads"] for shard in shards] == [sized, sized]
+        assert [shard["blas_threads"] for shard in loopback_shards] == [None, None]
 
 
 # ---------------------------------------------------------------------------
