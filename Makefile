@@ -30,7 +30,12 @@ check:
 check-tape:
 	python -m repro check tape --dataset metr-la-sim
 
-ci: lint docs-check test-faults test bench-smoke serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke check-tape
+# The benchmark's own tests (perfbench/, about 2 s): its statistics, metric
+# names and output checks.
+perfbench-test:
+	python -m pytest perfbench/tests -q
+
+ci: lint docs-check test-faults test bench-smoke serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke check-tape perfbench-test
 
 profile:
 	python -m repro profile --dataset metr-la-sim --model d2stgnn --out BENCH_profile.json

@@ -1,21 +1,24 @@
 """Train-step throughput — the regression gate for the engine's fast paths.
 
 Times full optimisation steps (gather → forward → loss → backward → clip →
-update) per model on metr-la-sim, once with the engine's fast backward
-closures and once under ``reference_backward(fused_matmul=True)``, and
-benchmarks vectorized batch assembly against the per-sample reference loop.  Both fast
-paths must be *bit-identical* to their slow counterparts — that is asserted
-here on top of the dedicated equivalence suite
+update) per model on metr-la-sim with the engine's fast backward closures
+and under ``reference_backward(fused_matmul=True)``, the two arms
+alternated over ``repro.obs.stepbench.ROUNDS`` rounds and pooled as
+min-of-N with the spread of the round minima, and benchmarks vectorized
+batch assembly against the per-sample reference loop.  Both fast paths
+must be *bit-identical* to their slow counterparts — that is asserted here
+on top of the dedicated equivalence suite
 (``tests/test_fast_path_equivalence.py``).
 
 Results land in ``benchmarks/results/train_step.json`` and the tracked
-repo-root ``BENCH_train_step.json`` (summarised in EXPERIMENTS.md); for
-one-off runs of a single model, ``repro profile --train-step`` writes
-``profile_train_step.json`` instead.  The ``seed_baseline`` block records
-a one-time A/B measurement against the pre-fast-path tree, which the
-self-contained fast-vs-reference comparison understates (several engine
-optimisations — gradient donation, forward rewrites — are unconditional);
-see docs/performance.md.
+repo-root ``BENCH_train_step.json`` (summarised in EXPERIMENTS.md), which
+keeps the headline numbers of the file it replaces under ``previous`` so a
+regression shows in the diff; for one-off runs of a single model,
+``repro profile --train-step`` writes ``profile_train_step.json`` instead.
+The ``seed_baseline`` block records a one-time A/B measurement against the
+pre-fast-path tree, which the self-contained fast-vs-reference comparison
+understates (several engine optimisations — gradient donation, forward
+rewrites — are unconditional); see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -142,14 +145,19 @@ def test_train_step_throughput(benchmark):
 
     profile_name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
     print(f"\n=== Train-step throughput ({DATASET}, {profile_name} profile) ===")
+    rounds = results["models"][MODELS[0]]["rounds"]
+    print(f"min of {rounds} alternated rounds x {TIMED_STEPS} steps; spread = "
+          "(max - min) / min of the round minima")
     print(f"{'model':<14} {'fast ms':>9} {'ref ms':>9} {'e2e x':>7} "
-          f"{'fast bwd us':>12} {'ref bwd us':>12} {'bwd x':>7}")
+          f"{'fast bwd us':>12} {'ref bwd us':>12} {'bwd x':>7} {'spread':>7}")
     for name in MODELS:
         t = results["models"][name]
+        spread = max(t["fast"]["step_ms_spread"], t["reference"]["step_ms_spread"])
         print(f"{name:<14} {t['fast']['step_ms_min']:>9.2f} "
               f"{t['reference']['step_ms_min']:>9.2f} {t['speedup_end_to_end']:>7.2f} "
               f"{t['fast']['backward_us_min']:>12.0f} "
-              f"{t['reference']['backward_us_min']:>12.0f} {t['speedup_backward']:>7.2f}")
+              f"{t['reference']['backward_us_min']:>12.0f} {t['speedup_backward']:>7.2f} "
+              f"{spread:>7.2f}")
     g = results["gather"]
     print(f"gather: vectorized {g['vectorized_us_per_batch']:.1f} us/batch vs "
           f"loop {g['loop_us_per_batch']:.1f} us/batch (x{g['speedup']:.1f})")
@@ -176,5 +184,23 @@ def test_train_step_throughput(benchmark):
     # at other scales (make bench-smoke) must not overwrite it.
     if profile_name == "bench":
         root = Path(__file__).resolve().parent.parent / "BENCH_train_step.json"
+        payload["previous"] = _headline(root)
         with open(root, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
+
+
+def _headline(path: Path) -> dict:
+    """The per-model step minima and speedups of the file about to be replaced."""
+    if not path.exists():
+        return {}
+    with open(path) as handle:
+        old = json.load(handle)
+    return {
+        name: {
+            "fast_step_ms_min": t["fast"]["step_ms_min"],
+            "reference_step_ms_min": t["reference"]["step_ms_min"],
+            "speedup_end_to_end": t["speedup_end_to_end"],
+            "rounds": t.get("rounds", 1),
+        }
+        for name, t in old.get("models", {}).items()
+    }

@@ -37,7 +37,7 @@ import numpy as np
 from ..obs.sinks import MetricsSink
 from ..obs.telemetry import sanitizer_record
 from ..tensor import tensor as _tensor_mod
-from ..tensor.ops_registry import TENSOR_OPS
+from ..tensor.ops_registry import restore_ops, swap_ops
 from ..tensor.tensor import Tensor
 
 __all__ = [
@@ -183,9 +183,9 @@ class guard_mutations:
 class detect_anomaly:
     """Context manager: raise on the first NaN/Inf, naming the originating op.
 
-    Forward: every primitive op listed in
-    :data:`repro.tensor.ops_registry.TENSOR_OPS` is wrapped in a finiteness
-    check of its result.  Backward: a chained backward hook checks the
+    Forward: every engine op in :mod:`repro.tensor.ops_registry` (the
+    primitives and the fused kernels) is wrapped in a finiteness check of
+    its result.  Backward: a chained backward hook checks the
     gradients each closure accumulates.  Either check raises
     :class:`AnomalyError` carrying the forward op name — creation provenance
     is the op tag every graph node already records.
@@ -205,7 +205,7 @@ class detect_anomaly:
 
     def __init__(self, sink: MetricsSink | None = None) -> None:
         self._sink = sink
-        self._saved: list[tuple[str, object]] = []
+        self._saved: list = []
         self._previous_hook = None
 
     # ------------------------------------------------------------------
@@ -232,12 +232,7 @@ class detect_anomaly:
         if detect_anomaly._active:
             raise RuntimeError("detect_anomaly is already active; it does not nest with itself")
         detect_anomaly._active = True
-        for attr, op_name, is_static in TENSOR_OPS:
-            original = Tensor.__dict__[attr]
-            self._saved.append((attr, original))
-            fn = original.__func__ if is_static else original
-            wrapped = self._wrap(fn, op_name)
-            setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
+        self._saved = swap_ops(self._wrap)
 
         previous = _tensor_mod._BACKWARD_OP_HOOK
         self._previous_hook = previous
@@ -263,7 +258,5 @@ class detect_anomaly:
 
     def __exit__(self, *exc_info) -> None:
         _tensor_mod._set_backward_op_hook(self._previous_hook)
-        for attr, original in reversed(self._saved):
-            setattr(Tensor, attr, original)
-        self._saved.clear()
+        restore_ops(self._saved)
         detect_anomaly._active = False

@@ -34,8 +34,8 @@ rule      severity  meaning
 size (the PR 2 analyzer's grid); ``repro check tape`` is the CLI front
 end and ``make check-tape`` the CI gate (zero T001/T002/T003 across the
 zoo).  The JSON report (schema :data:`TAPE_SCHEMA`) carries the arena
-plan and fusion candidates — the input contract for the ROADMAP item 1
-tape-to-program compiler.
+plan and fusion candidates — the input contract for a tape-to-program
+compiler (deferred; see ROADMAP.md, "Deferred").
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from ...models import NEURAL, build_model, canonical_model
 from ...nn.module import Module
 from ...obs import MemoryWatermark, Profiler
 from ...tensor import functional as F
-from ...tensor.ops_registry import TENSOR_OPS
+from ...tensor.ops_registry import OP_NAMES
 from ...tensor.tensor import Tensor, reference_backward
 from ...utils.seed import set_seed
 from .fusion import FusionCandidate, find_fusion_candidates
@@ -76,8 +76,6 @@ TAPE_RULES = {
     "T003": "every recorded op must contribute to the loss, a gradient, or an export",
     "T004": "fusion candidate (informational)",
 }
-
-_PRIMITIVE_OPS = frozenset(op_name for _attr, op_name, _static in TENSOR_OPS)
 
 
 @dataclass
@@ -204,7 +202,7 @@ def audit_model(
     profiler_forward = sum(
         stat.bytes
         for (op, phase), stat in profiler.ops.items()
-        if phase == "forward" and op in _PRIMITIVE_OPS
+        if phase == "forward" and op in OP_NAMES
     )
     ratio = ir_owned / measured_total if measured_total else 1.0
     consistency = {
@@ -220,7 +218,7 @@ def audit_model(
     op_seconds = {
         op: stat.time / stat.count
         for (op, phase), stat in profiler.ops.items()
-        if phase == "forward" and op in _PRIMITIVE_OPS and stat.count
+        if phase == "forward" and op in OP_NAMES and stat.count
     }
     return TapeAudit(
         model=name,

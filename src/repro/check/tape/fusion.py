@@ -1,16 +1,18 @@
 """Fusion-candidate detection (T004) over a tape program.
 
-Finds adjacent forward instructions a tape-compiling executor (ROADMAP
-item 1) could fuse into one kernel, in three shapes the profiler's
-``BENCH_profile.json`` breakdown shows are hot:
+Finds adjacent forward instructions a tape-compiling executor (deferred;
+see ROADMAP.md, "Deferred") could fuse into one kernel, in three shapes
+the profiler's ``BENCH_profile.json`` breakdown shows are hot:
 
 * ``matmul_bias_act`` / ``matmul_bias`` — a matmul whose sole consumer is
   an add/sub (bias), optionally followed by a sole-consumer activation:
   the classic GEMM-epilogue fusion;
 * ``elementwise_chain`` — a run of same-shape elementwise ops linked by
-  single-use intermediates (the GRU cell body in DCRNN/DGCRN/D²STGNN
-  lowers to exactly these), fusable into one loop without materialising
-  intermediates.
+  single-use intermediates (the diffusion-GRU cell bodies of DCRNN and
+  DGCRN lower to exactly these), fusable into one loop without
+  materialising intermediates.  D²STGNN's GRU no longer shows up here: it
+  records as one ``gru_scan``/``gru_rollout`` node of
+  :mod:`repro.tensor.kernels`, hand-fused.
 
 A candidate is *informational*: it never fails CI.  Each is annotated
 with whether any interior intermediate is saved for backward (a fused

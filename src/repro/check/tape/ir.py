@@ -255,6 +255,21 @@ class _ProgramBuilder(TraceListener):
             array = array.base
         return array
 
+    def _claim(self, array: np.ndarray, vid: int) -> int | None:
+        """The value ``array`` aliases, or None when ``vid`` owns its storage.
+
+        A view of a buffer no value owns yet (numpy's copy behind a
+        reshape of a non-contiguous array, a closure's fresh gradient
+        reshaped on its way out) claims that buffer: its storage is new,
+        and later views of the same buffer alias ``vid``.
+        """
+        root = self._root_buffer(array)
+        owner = self._buffer_vid.get(id(root))
+        if owner is None:
+            self._buffer_vid[id(root)] = vid
+            self._keep.append(root)
+        return owner
+
     def _ensure_value(
         self, tensor: Tensor, kind: str = "leaf", op: str = "", def_index: int = -1
     ) -> int:
@@ -263,13 +278,7 @@ class _ProgramBuilder(TraceListener):
             return vid
         vid = len(self.values)
         data = tensor.data
-        alias_of = None
-        if isinstance(data, np.ndarray):
-            if data.base is None:
-                self._buffer_vid[id(data)] = vid
-            else:
-                root = self._root_buffer(data)
-                alias_of = self._buffer_vid.get(id(root))
+        alias_of = self._claim(data, vid) if isinstance(data, np.ndarray) else None
         self.values.append(
             Value(
                 vid=vid,
@@ -292,12 +301,7 @@ class _ProgramBuilder(TraceListener):
 
     def _new_grad_value(self, array: np.ndarray, source_vid: int, def_index: int) -> int:
         vid = len(self.values)
-        alias_of = None
-        if array.base is None:
-            self._buffer_vid[id(array)] = vid
-        else:
-            root = self._root_buffer(array)
-            alias_of = self._buffer_vid.get(id(root))
+        alias_of = self._claim(array, vid)
         source = self.values[source_vid]
         self.values.append(
             Value(
@@ -363,11 +367,41 @@ class _ProgramBuilder(TraceListener):
 
     # -- trace events ---------------------------------------------------
 
+    def _kernel_saved(self, backward, op: str, index: int) -> tuple[tuple[int, int], ...]:
+        """Values for the buffers a fused kernel keeps for its backward.
+
+        :mod:`repro.tensor.kernels` lists them as ``backward.saved``; they
+        are owned storage defined by the kernel's forward instruction and
+        read by its backward one, like any saved op output.
+        """
+        stamps = []
+        for array in getattr(backward, "saved", ()):
+            vid = len(self.values)
+            self.values.append(
+                Value(
+                    vid=vid,
+                    kind="op",
+                    op=op,
+                    shape=tuple(array.shape),
+                    dtype=str(array.dtype),
+                    nbytes=int(array.nbytes),
+                    alias_of=None,
+                    name=f"{op}.saved",
+                    def_index=index,
+                )
+            )
+            self._buffer_vid[id(array)] = vid
+            self._versions[vid] = 0
+            self._keep.append(array)
+            stamps.append((vid, 0))
+        return tuple(stamps)
+
     def on_node(self, out: Tensor, parents: tuple[Tensor, ...], op: str) -> None:
         use_vids = tuple(self._ensure_value(p) for p in parents)
         index = len(self.instructions)
         out_vid = self._ensure_value(out, kind="op", op=op, def_index=index)
         saved = self._saved_from_closure(out._backward)
+        saved += self._kernel_saved(out._backward, op, index)
         self.instructions.append(
             Instruction(index, "forward", op, (out_vid,), use_vids, saved=saved)
         )

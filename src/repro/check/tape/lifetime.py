@@ -10,8 +10,8 @@ program (the optimizer reads them after the step).
 
 :func:`plan_arena` then runs a first-fit greedy allocator with a
 coalescing free list over those intervals, producing the offset plan a
-tape-compiled executor (ROADMAP item 1) would use for one big arena
-buffer.  Its outputs:
+tape-compiled executor (deferred; see ROADMAP.md, "Deferred") would use
+for one big arena buffer.  Its outputs:
 
 * ``arena_bytes`` — the arena high-water mark the plan needs (the
   *projected peak*);

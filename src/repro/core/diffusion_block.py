@@ -27,7 +27,7 @@ import numpy as np
 from .. import nn
 from ..graph.localized import mask_self_loops
 from ..graph.transition import matrix_powers
-from ..tensor import Tensor
+from ..tensor import Tensor, kernels
 
 __all__ = ["DiffusionBlock", "Support"]
 
@@ -179,14 +179,12 @@ class DiffusionBlock(nn.Module):
         if not self.autoregressive:
             flat = self.direct_head(hidden[:, steps - 1])  # (B, N, horizon*d)
             return flat.reshape(batch, num_nodes, self.horizon, dim).transpose(0, 2, 1, 3)
-        # Sliding auto-regression over the last k_t hidden states.
-        window = [hidden[:, t] for t in range(max(0, steps - self.k_t), steps)]
-        while len(window) < self.k_t:  # short inputs: pad by repeating oldest
-            window.insert(0, window[0])
-        outputs = []
-        for _ in range(self.horizon):
-            stacked = Tensor.concatenate(window[-self.k_t :], axis=-1)  # (B, N, k_t*d)
-            nxt = self.ar_step(stacked)
-            outputs.append(nxt)
-            window.append(nxt)
-        return Tensor.stack(outputs, axis=1)
+        # Sliding auto-regression over the last k_t hidden states; inputs
+        # shorter than k_t are padded by repeating the oldest state.
+        if steps >= self.k_t:
+            window = hidden[:, steps - self.k_t :]
+        else:
+            window = hidden[:, np.maximum(np.arange(steps - self.k_t, steps), 0)]
+        layers = self.ar_step.layers
+        params = (layers[0].weight, layers[0].bias, layers[1].weight, layers[1].bias)
+        return kernels.mlp_rollout(window, params, self.horizon)

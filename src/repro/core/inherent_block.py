@@ -16,7 +16,7 @@ input.  Backcast branch: non-linear fully connected reconstruction.
 from __future__ import annotations
 
 from .. import nn
-from ..tensor import Tensor
+from ..tensor import Tensor, kernels
 
 __all__ = ["InherentBlock"]
 
@@ -97,19 +97,19 @@ class InherentBlock(nn.Module):
         return hidden, unfold(forecast, self.horizon), backcast
 
     def _forecast(self, hidden_seq: Tensor, gru_state: Tensor) -> Tensor:
+        last = hidden_seq[:, hidden_seq.shape[1] - 1]
         if not self.autoregressive:
-            last = hidden_seq[:, hidden_seq.shape[1] - 1]
             flat = self.direct_head(last)  # (B*N, horizon*d)
             return flat.reshape(flat.shape[0], self.horizon, self.hidden_dim)
+        if self.use_gru:  # one op: feedback -> GRU step, over the horizon
+            feedback = (self.feedback.weight, self.feedback.bias)
+            return kernels.gru_rollout(
+                last, gru_state, feedback, self.gru.cell.weights, self.horizon
+            )
+        # *w/o gru*: the feedback alone drives the roll-out.
         outputs = []
-        state = gru_state
-        current = hidden_seq[:, hidden_seq.shape[1] - 1]
+        current = last
         for _ in range(self.horizon):
-            step_input = self.feedback(current)
-            if self.use_gru:
-                state = self.gru.cell(step_input, state)
-                current = state
-            else:
-                current = step_input.tanh()
+            current = self.feedback(current).tanh()
             outputs.append(current)
         return Tensor.stack(outputs, axis=1)

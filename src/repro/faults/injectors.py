@@ -5,8 +5,8 @@ deployment) exhibits, at a precisely controlled point of a training run:
 
 * :class:`BatchFault` — corrupt the input windows of one batch (NaN/Inf),
   the "bad record slipped through ingestion" case;
-* :class:`ActivationFault` — poison the output of a named primitive op
-  (from :data:`repro.tensor.ops_registry.TENSOR_OPS`) during one training
+* :class:`ActivationFault` — poison the output of a named engine op
+  (from :data:`repro.tensor.ops_registry.OP_NAMES`) during one training
   step, the "numerical blow-up mid-forward" case;
 * :class:`GradientFault` — overwrite a parameter gradient after backward,
   the "NaN surfaced in backward" case;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor.ops_registry import TENSOR_OPS
+from ..tensor.ops_registry import OP_NAMES, restore_ops, swap_ops
 from ..tensor.tensor import Tensor
 
 __all__ = [
@@ -100,10 +100,10 @@ class BatchFault(Fault):
 
 
 class _PoisonOps:
-    """Context manager: poison the first invocation of a named primitive op.
+    """Context manager: poison the first invocation of a named engine op.
 
-    Uses the PR 1 method-swap pattern on :class:`~repro.tensor.Tensor` — the
-    wrapper is installed on ``__enter__`` and fully removed on ``__exit__``,
+    Uses the method-swap pattern (:func:`repro.tensor.ops_registry.swap_ops`)
+    — the wrapper is installed on ``__enter__`` and fully removed on ``__exit__``,
     and it composes with ``detect_anomaly``/``Profiler`` (whichever enters
     later wraps the already-wrapped method).  The corrupted output is
     written through :meth:`~repro.tensor.Tensor.copy_`, so the mutation
@@ -113,7 +113,7 @@ class _PoisonOps:
     def __init__(self, op: str, value: float) -> None:
         self.op = op
         self.value = value
-        self._saved: list[tuple[str, object]] = []
+        self._saved: list = []
         self._fired = False
 
     def _poison(self, result) -> None:
@@ -138,20 +138,11 @@ class _PoisonOps:
 
     def __enter__(self) -> "_PoisonOps":
         self._fired = False
-        for attr, op_name, is_static in TENSOR_OPS:
-            if op_name != self.op:
-                continue
-            original = Tensor.__dict__[attr]
-            self._saved.append((attr, original))
-            fn = original.__func__ if is_static else original
-            wrapped = self._wrap(fn, op_name)
-            setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
+        self._saved = swap_ops(self._wrap, only=self.op)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for attr, original in reversed(self._saved):
-            setattr(Tensor, attr, original)
-        self._saved.clear()
+        restore_ops(self._saved)
 
 
 class ActivationFault(Fault):
@@ -159,9 +150,8 @@ class ActivationFault(Fault):
 
     def __init__(self, step: int | None, op: str = "relu", mode: str = "nan") -> None:
         super().__init__(step)
-        known = {name for _, name, _ in TENSOR_OPS}
-        if op not in known:
-            raise ValueError(f"unknown op {op!r}; known ops: {sorted(known)}")
+        if op not in OP_NAMES:
+            raise ValueError(f"unknown op {op!r}; known ops: {sorted(OP_NAMES)}")
         self.op = op
         self.value = _corrupt_value(mode)
 

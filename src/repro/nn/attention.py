@@ -1,17 +1,15 @@
 """Multi-head self-attention (Vaswani et al. 2017; paper Eq. 11).
 
 The inherent model applies attention along the *time* axis of each node's
-series; the dynamic graph learner applies it along the *node* axis.  Both use
-this module on a batch-first ``(batch, length, dim)`` input.
+series; GMAN applies it along the time and the node axis.  All use this
+module on a batch-first ``(batch, length, dim)`` input.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..tensor import Tensor, functional as F
+from ..tensor import Tensor, kernels
 from .linear import Linear
 from .module import Module
 
@@ -24,14 +22,10 @@ def scaled_dot_product_attention(
     """``softmax(Q K^T / sqrt(d)) V`` on trailing (length, dim) axes.
 
     ``mask`` (broadcastable to the score shape) marks *disallowed* positions
-    with True; their scores are pushed to -1e9 before the softmax.
+    with True; their scores are pushed to -1e9 before the softmax.  One
+    engine op: :func:`repro.tensor.kernels.attention`.
     """
-    dim = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dim))
-    if mask is not None:
-        penalty = np.where(mask, -1e9, 0.0).astype(np.float32)
-        scores = scores + Tensor(penalty)
-    return F.softmax(scores, axis=-1) @ v
+    return kernels.attention(q, k, v, mask)
 
 
 class MultiHeadSelfAttention(Module):

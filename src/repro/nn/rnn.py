@@ -8,7 +8,7 @@ described in Sec. 5.2.
 
 from __future__ import annotations
 
-from ..tensor import Tensor
+from ..tensor import Tensor, kernels
 from . import init
 from .module import Module, Parameter
 
@@ -16,7 +16,12 @@ __all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM"]
 
 
 class GRUCell(Module):
-    """Single-step gated recurrent unit (Cho et al. 2014; paper Eq. 10)."""
+    """Single-step gated recurrent unit (Cho et al. 2014; paper Eq. 10).
+
+    The step runs as the one-step case of the fused
+    :func:`repro.tensor.kernels.gru_scan`, so the Eq. 10 math lives in one
+    place.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int) -> None:
         super().__init__()
@@ -32,15 +37,21 @@ class GRUCell(Module):
         self.u_h = Parameter(init.xavier_uniform(hidden_dim, hidden_dim))
         self.b_h = Parameter(init.zeros(hidden_dim))
 
+    @property
+    def weights(self) -> tuple[Parameter, ...]:
+        """The nine Eq. 10 parameters in the order the GRU kernels take them."""
+        return (
+            self.w_z, self.w_r, self.w_h,
+            self.u_z, self.u_r, self.u_h,
+            self.b_z, self.b_r, self.b_h,
+        )
+
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         """Advance the hidden state by one time step.
 
         ``x``: (batch, input_dim); ``h``: (batch, hidden_dim).
         """
-        z = (x @ self.w_z + h @ self.u_z + self.b_z).sigmoid()
-        r = (x @ self.w_r + h @ self.u_r + self.b_r).sigmoid()
-        candidate = (x @ self.w_h + r * (h @ self.u_h + self.b_h)).tanh()
-        return (1.0 - z) * h + z * candidate
+        return kernels.gru_scan(x, h, self.weights)
 
 
 class GRU(Module):
@@ -49,6 +60,7 @@ class GRU(Module):
     Returns the full hidden-state sequence ``(batch, time, hidden)`` and the
     final state — both are needed: the inherent model feeds the sequence to
     self-attention, and its forecast branch continues from the final state.
+    The whole recurrence is one :func:`repro.tensor.kernels.gru_scan` op.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int) -> None:
@@ -60,11 +72,8 @@ class GRU(Module):
     def forward(self, x: Tensor, h0: Tensor | None = None) -> tuple[Tensor, Tensor]:
         batch, steps, _ = x.shape
         h = h0 if h0 is not None else Tensor.zeros((batch, self.hidden_dim))
-        outputs = []
-        for t in range(steps):
-            h = self.cell(x[:, t, :], h)
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1), h
+        sequence = kernels.gru_scan(x, h, self.cell.weights)
+        return sequence, sequence[:, steps - 1]
 
 
 class LSTMCell(Module):

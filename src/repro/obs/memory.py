@@ -2,8 +2,9 @@
 
 :class:`MemoryWatermark` measures what the engine actually allocates during
 a traced region: every buffer *owned* by a tracked op node (forward
-activations) or by a gradient, deduplicated by root buffer so views cost
-nothing.  It records three numbers:
+activations), kept by a fused kernel for its backward (``saved``), or
+owned by a gradient, deduplicated by root buffer so views cost nothing.
+It records three numbers:
 
 * ``total_bytes`` — bytes allocated over the region (each owned buffer
   counted once);
@@ -62,6 +63,7 @@ class MemoryWatermark:
         self.peak_bytes = 0
         self.buffers = 0
         self._refs: dict[int, weakref.ref] = {}
+        self._external: dict[int, np.ndarray] = {}
         self._closed = False
         self._original_make = None
         self._previous_hook = None
@@ -69,17 +71,19 @@ class MemoryWatermark:
     # -- registration ---------------------------------------------------
 
     def _register(self, array: object) -> None:
-        """Count ``array`` if it owns its buffer and was not seen before.
+        """Count the buffer under ``array`` if it was not seen before.
 
-        Views (``array.base`` chains) are skipped: either their root is an
-        already-registered op/grad buffer (whose weakref covers liveness)
-        or it belongs to a leaf/external array the watermark deliberately
-        excludes.
+        A view counts its root buffer (``array.base`` chain): numpy's
+        copy behind a reshape of a non-contiguous array is new storage
+        even though the result is a view of it.  Roots already registered,
+        and leaf/external payloads (:meth:`_exclude`), are skipped.
         """
-        if self._closed or not isinstance(array, np.ndarray) or array.base is not None:
+        if self._closed or not isinstance(array, np.ndarray):
             return
+        while isinstance(array.base, np.ndarray):
+            array = array.base
         key = id(array)
-        if key in self._refs:
+        if key in self._refs or key in self._external:
             return
         nbytes = int(array.nbytes)
 
@@ -95,13 +99,25 @@ class MemoryWatermark:
         if self.live_bytes > self.peak_bytes:
             self.peak_bytes = self.live_bytes
 
+    def _exclude(self, array: object) -> None:
+        """Mark the root buffer of an op input nobody registered (a leaf,
+        an input, a constant, a value made before the region) as external,
+        so views of it are never counted.  Held until exit, so its id
+        cannot be reused by a new buffer."""
+        if not isinstance(array, np.ndarray):
+            return
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        if id(array) not in self._refs:
+            self._external.setdefault(id(array), array)
+
     # -- instrumentation ------------------------------------------------
 
     def __enter__(self) -> "MemoryWatermark":
         if MemoryWatermark._active:
             raise RuntimeError("a MemoryWatermark is already active")
         MemoryWatermark._active = True
-        register = self._register
+        register, exclude = self._register, self._exclude
 
         self._original_make = Tensor.__dict__["_make"]
         original_make_fn = self._original_make.__func__
@@ -109,7 +125,12 @@ class MemoryWatermark:
         def watching_make(data, parents, backward, op):
             out = original_make_fn(data, parents, backward, op)
             if out._backward is not None:
+                for parent in parents:
+                    exclude(parent.data)
                 register(out.data)
+                # A fused kernel's saved buffers (repro.tensor.kernels).
+                for array in getattr(out._backward, "saved", ()):
+                    register(array)
             return out
 
         Tensor._make = staticmethod(watching_make)
@@ -135,6 +156,7 @@ class MemoryWatermark:
         Tensor._make = self._original_make
         MemoryWatermark._active = False
         self._closed = True  # freeze the numbers; late weakref callbacks no-op
+        self._external.clear()
 
     # -- reporting ------------------------------------------------------
 

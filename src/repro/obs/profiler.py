@@ -2,8 +2,9 @@
 
 :class:`Profiler` answers "where does a training step spend its time?" on
 the numpy substrate, the way ``torch.profiler`` would on the original
-implementation.  While active it records, for every primitive tensor op and
-every composite in :data:`repro.tensor.functional.PROFILED_COMPOSITES`:
+implementation.  While active it records, for every primitive tensor op,
+every fused kernel of :mod:`repro.tensor.kernels` and every composite in
+:data:`repro.tensor.functional.PROFILED_COMPOSITES`:
 
 * **count** — how many times the op executed,
 * **time** — inclusive wall-clock seconds (shared clock, `repro.utils.now`),
@@ -46,7 +47,7 @@ from ..nn import module as _module_mod
 from ..nn.module import Module
 from ..tensor import functional as _functional
 from ..tensor import tensor as _tensor_mod
-from ..tensor.ops_registry import TENSOR_OPS as _TENSOR_OPS
+from ..tensor.ops_registry import restore_ops, swap_ops
 from ..tensor.tensor import Tensor
 from ..utils.timer import now
 
@@ -197,12 +198,7 @@ class Profiler:
             raise RuntimeError("a Profiler is already active; profilers do not nest")
         Profiler._active = self
         self._started = now()
-        for attr, op_name, is_static in _TENSOR_OPS:
-            original = Tensor.__dict__[attr]
-            self._saved.append((Tensor, attr, original))
-            fn = original.__func__ if is_static else original
-            wrapped = self._wrap_forward(fn, op_name)
-            setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
+        self._saved = swap_ops(self._wrap_forward)
         for name in _functional.PROFILED_COMPOSITES:
             original = getattr(_functional, name)
             self._saved.append((_functional, name, original))
@@ -215,9 +211,7 @@ class Profiler:
     def __exit__(self, *exc_info) -> None:
         _tensor_mod._set_backward_op_hook(self._previous_hook)
         _module_mod._set_forward_scope_hook(None)
-        for target, attr, original in reversed(self._saved):
-            setattr(target, attr, original)
-        self._saved.clear()
+        restore_ops(self._saved)
         self.elapsed += now() - self._started
         Profiler._active = None
 

@@ -9,8 +9,9 @@ concentrate there.
 
 ``compare_fast_reference`` times the same model with the engine's fast
 backward closures and under ``reference_backward(fused_matmul=True)``,
-giving every run a self-contained before/after (see docs/performance.md
-for how the two relate to the pre-fast-path baseline).
+alternating the two arms over several rounds and pooling min-of-N, giving
+every run a self-contained before/after (see docs/performance.md for how
+the two relate to the pre-fast-path baseline).
 """
 
 from __future__ import annotations
@@ -86,21 +87,55 @@ def time_train_steps(
     }
 
 
+ROUNDS = 3  # alternated rounds per arm
+
+
 def compare_fast_reference(model, data, **kwargs) -> dict:
     """Time the model under the reference and fast backward closures.
 
     The reference leg runs under ``reference_backward(fused_matmul=True)``:
     the fused matmul gradient is allclose-only, so it stays on in both legs
-    and the two differ in code path, not numerics.  Returns
-    ``{"reference": ..., "fast": ...}`` (each a :func:`time_train_steps`
-    dict) plus end-to-end and backward speedups.
+    and the two differ in code path, not numerics.  The arms alternate for
+    :data:`ROUNDS` rounds, each round starting with the arm the previous one
+    ended on, so host drift hits both alike; each arm reports its minimum
+    over all rounds (min-of-N), the median of its round medians, and the
+    spread of its round minima (``(max - min) / min``, the noise band a
+    speedup must clear).  Returns ``{"reference": ..., "fast": ...}`` plus
+    end-to-end and backward speedups of the pooled minima.
     """
-    with reference_backward(fused_matmul=True):
-        reference = time_train_steps(model, data, **kwargs)
-    fast = time_train_steps(model, data, **kwargs)
+    runs: dict[str, list[dict]] = {"reference": [], "fast": []}
+    order = ["reference", "fast"]
+    for _ in range(ROUNDS):
+        for arm in order:
+            if arm == "reference":
+                with reference_backward(fused_matmul=True):
+                    runs[arm].append(time_train_steps(model, data, **kwargs))
+            else:
+                runs[arm].append(time_train_steps(model, data, **kwargs))
+        order.reverse()
+    pooled = {arm: _pool(results) for arm, results in runs.items()}
+    reference, fast = pooled["reference"], pooled["fast"]
     return {
         "reference": reference,
         "fast": fast,
+        "rounds": ROUNDS,
         "speedup_end_to_end": reference["step_ms_min"] / fast["step_ms_min"],
         "speedup_backward": reference["backward_us_min"] / fast["backward_us_min"],
     }
+
+
+def _pool(results: list[dict]) -> dict:
+    """One arm's :func:`time_train_steps` rounds as min-of-N with spread."""
+    minima = [r["step_ms_min"] for r in results]
+    pooled = dict(results[0])
+    pooled.update(
+        steps=sum(r["steps"] for r in results),
+        step_ms_min=min(minima),
+        step_ms_median=float(np.median([r["step_ms_median"] for r in results])),
+        backward_us_min=min(r["backward_us_min"] for r in results),
+        backward_us_median=float(np.median([r["backward_us_median"] for r in results])),
+        samples_per_sec=pooled["batch_size"] / (min(minima) / 1e3),
+        step_ms_round_minima=minima,
+        step_ms_spread=(max(minima) - min(minima)) / min(minima),
+    )
+    return pooled

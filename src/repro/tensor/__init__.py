@@ -9,7 +9,7 @@ from .tensor import (
     no_grad,
     reference_backward,
 )
-from . import functional
+from . import functional, kernels
 from .gradcheck import gradcheck, numerical_gradient
 from .trace import GraphTracer, TraceListener
 
@@ -19,6 +19,7 @@ __all__ = [
     "Tensor",
     "TraceListener",
     "functional",
+    "kernels",
     "gradcheck",
     "inference_mode",
     "is_grad_enabled",
