@@ -16,6 +16,8 @@ the two relate to the pre-fast-path baseline).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from ..optim import Adam, clip_grad_norm
@@ -103,18 +105,18 @@ def compare_fast_reference(model, data, **kwargs) -> dict:
     speedup must clear).  Returns ``{"reference": ..., "fast": ...}`` plus
     end-to-end and backward speedups of the pooled minima.
     """
-    runs: dict[str, list[dict]] = {"reference": [], "fast": []}
-    order = ["reference", "fast"]
+    arms = {
+        "reference": lambda: reference_backward(fused_matmul=True),
+        "fast": contextlib.nullcontext,
+    }
+    runs: dict[str, list[dict]] = {arm: [] for arm in arms}
+    order = list(arms)
     for _ in range(ROUNDS):
         for arm in order:
-            if arm == "reference":
-                with reference_backward(fused_matmul=True):
-                    runs[arm].append(time_train_steps(model, data, **kwargs))
-            else:
+            with arms[arm]():
                 runs[arm].append(time_train_steps(model, data, **kwargs))
         order.reverse()
-    pooled = {arm: _pool(results) for arm, results in runs.items()}
-    reference, fast = pooled["reference"], pooled["fast"]
+    reference, fast = _pool(runs["reference"]), _pool(runs["fast"])
     return {
         "reference": reference,
         "fast": fast,

@@ -48,13 +48,13 @@ def _record(
     out: np.ndarray,
     parents: Sequence[Tensor],
     saved: list[np.ndarray],
-    grads: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+    grads: Callable[[np.ndarray], Sequence[np.ndarray]],
 ) -> Tensor:
     """Record one kernel node; ``grads(grad)`` yields one gradient per parent."""
 
     def backward(grad: np.ndarray) -> None:
         for parent, g in zip(parents, grads(np.ascontiguousarray(grad))):
-            if g is not None and parent.requires_grad:
+            if parent.requires_grad:
                 parent._accumulate_fresh(g)
 
     backward.saved = saved  # type: ignore[attr-defined]

@@ -24,7 +24,7 @@ from repro.check.tape import record_program
 from repro.core import D2STGNN, D2STGNNConfig, DiffusionBlock
 from repro.faults import ActivationFault
 from repro.obs import MemoryWatermark, Profiler
-from repro.tensor import Tensor, functional as F, gradcheck, kernels
+from repro.tensor import Tensor, functional as F, gradcheck, inference_mode, kernels
 from repro.tensor import tensor as tensor_module
 from repro.tensor.ops_registry import KERNEL_OPS, OP_NAMES
 from repro.utils.seed import set_seed
@@ -190,8 +190,6 @@ class TestMatchesComposite:
 
     def test_no_graph_outside_grad_mode(self, rng):
         call, inputs = cases(rng)["gru_scan"]
-        from repro.tensor import inference_mode
-
         with inference_mode():
             out = call(kernels.gru_scan, *inputs)
         assert out._backward is None and not out.requires_grad
